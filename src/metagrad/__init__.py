@@ -31,10 +31,8 @@ from .estimators import (
     CostCounters,
     EstimatorConfig,
     MetaGradient,
-    binom_cascade_seeds,
-    binom_expansion_matrix,
+    backprop_products,
     binom_meta_gradient,
-    binom_meta_gradient_batched,
     binom_oracle,
     binomtrunc_meta_gradient,
     estimate,
@@ -50,8 +48,6 @@ from .linalg import (
     CGResult,
     conjugate_gradient,
     is_symmetric,
-    matvec,
-    strict_lower_ones,
 )
 from .metatrain import (
     ErrorRow,

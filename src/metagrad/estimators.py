@@ -19,8 +19,12 @@ for HVP count in different ways:
 * ``imaml`` -- solves (I + H/lambda) x = g at the final iterate by CG.
 * ``reptile`` -- moves toward the mean adapted parameter; no HVPs at all.
 
+There are two cores. ``backprop_products`` is the one right-to-left loop:
+``full`` and ``trunc`` stop it at product K and L, and the error experiments
+read the exact and every truncated estimate off a single pass. ``_cascade``
+is the one expansion implementation, behind ``binom`` and ``binom-trunc``.
 ``binom_oracle`` enumerates the expansion tuple by tuple and is the
-deliberately unoptimized ground truth the cascades are tested against.
+deliberately unoptimized ground truth the cascade is tested against.
 
 Every estimator is a pure function of (trajectory, g, parameters), so
 invocations are safe to run concurrently across tasks. Within a binom stage
@@ -30,14 +34,13 @@ parallel schedule must reproduce the sequential result bit for bit.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .adaptation import DivergenceError, Trajectory
-from .linalg import conjugate_gradient, strict_lower_ones
+from .linalg import conjugate_gradient
 from .objectives import TaskObjective
 
 
@@ -77,8 +80,6 @@ ESTIMATOR_KINDS = (
     "fo",
     "trunc",
     "binom",
-    "binom-batched",
-    "binom-oracle",
     "binom-trunc",
     "imaml",
     "reptile",
@@ -125,12 +126,28 @@ def _finite_or_raise(v, where: str):
     return v
 
 
-def full_meta_gradient(traj: Trajectory, g) -> MetaGradient:
-    """Exact product, applied right to left: v <- v - alpha * H^k v for k = K-1..0."""
+def backprop_products(traj: Trajectory, g, label: str = "full product"):
+    """Yield g, P_1 g, ..., P_K g, where P_l = (I - alpha H^{K-l}) ... (I - alpha H^{K-1}).
+
+    One right-to-left pass, one HVP per product: product l is the last-l
+    truncated estimate and product K the exact one, so a consumer that stops
+    at product L has run exactly L HVPs with one vector live.
+    """
     v = np.asarray(g, dtype=float)
+    yield v
     for k in range(traj.K - 1, -1, -1):
         v = v - traj.alpha * traj.hvp(k, v)
-        _finite_or_raise(v, f"full product step k={k}")
+        _finite_or_raise(v, f"{label} step k={k}")
+        yield v
+
+
+def _last_product(traj: Trajectory, g, L: int, label: str) -> np.ndarray:
+    return next(itertools.islice(backprop_products(traj, g, label), L, None))
+
+
+def full_meta_gradient(traj: Trajectory, g) -> MetaGradient:
+    """Exact product, applied right to left: v <- v - alpha * H^k v for k = K-1..0."""
+    v = _last_product(traj, g, traj.K, "full product")
     return MetaGradient(v, "full", None, CostCounters(traj.K, traj.K, 1))
 
 
@@ -143,10 +160,7 @@ def trunc_meta_gradient(traj: Trajectory, g, L: int) -> MetaGradient:
     """Product of the last L factors only; L = 0 is the first-order estimate
     and L = K recovers the exact product."""
     _check_L(L, traj.K)
-    v = np.asarray(g, dtype=float)
-    for k in range(traj.K - 1, traj.K - L - 1, -1):
-        v = v - traj.alpha * traj.hvp(k, v)
-        _finite_or_raise(v, f"truncated product step k={k}")
+    v = _last_product(traj, g, L, "truncated product")
     return MetaGradient(v, "trunc", L, CostCounters(L, L, 1))
 
 
@@ -156,7 +170,7 @@ def _effective_alpha(traj: Trajectory, L: int, rescale_alpha: bool) -> float:
 
 
 def _cascade(hvp, K: int, L: int, alpha: float, g: np.ndarray):
-    """Run the L-stage expansion cascade; returns (estimate, stage seeds).
+    """Run the L-stage expansion cascade; returns the order-L estimate.
 
     Writing w[l, k] for the order-l expansion restricted to index tuples with
     smallest entry >= k, the recursion is
@@ -166,25 +180,23 @@ def _cascade(hvp, K: int, L: int, alpha: float, g: np.ndarray):
     and the estimate is w[L, 0]. Stage l (l = 1..L) holds the window
     w[l, L-l..K-l]: its K-L+1 HVPs touch iterates L-l..K-l and depend only on
     stage l-1, so they are mutually independent; the running sums then fill
-    the window in descending k. The stage seed w[l, K-l] equals the last-l
-    truncated product applied to g, which is what lets each stage reuse the
-    previous one instead of recomputing that product.
+    the window in descending k. A NaN/Inf anywhere in the window reaches
+    w[l, L-l] through the running sum, so that one entry is checked per stage.
     """
     width = K - L + 1
     v = [g] * width
-    seeds = []
     for stage in range(L):
         lo = L - 1 - stage
         u = [hvp(lo + j, v[j]) for j in range(width)]
         nxt = [None] * width
         nxt[width - 1] = v[width - 1] - alpha * u[width - 1]
-        _finite_or_raise(nxt[width - 1], f"cascade stage {stage}, index {width - 1}")
         for j in range(width - 2, -1, -1):
             nxt[j] = nxt[j + 1] - alpha * u[j]
-            _finite_or_raise(nxt[j], f"cascade stage {stage}, index {j}")
-        seeds.append(nxt[width - 1])
+        if not np.all(np.isfinite(nxt[0])):
+            bad = next(j for j in range(width - 1, -1, -1) if not np.all(np.isfinite(nxt[j])))
+            raise DivergenceError(f"NaN/Inf at cascade stage {stage}, index {bad}")
         v = nxt
-    return v[0], seeds
+    return v[0]
 
 
 def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> MetaGradient:
@@ -200,42 +212,8 @@ def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False
     if L == 0:
         return MetaGradient(g, "binom", 0, CostCounters(0, 0, 0))
     alpha = _effective_alpha(traj, L, rescale_alpha)
-    estimate, _ = _cascade(traj.hvp, K, L, alpha, g)
+    estimate = _cascade(traj.hvp, K, L, alpha, g)
     return MetaGradient(estimate, "binom", L, CostCounters(L * (K - L + 1), L, K - L + 1))
-
-
-def binom_cascade_seeds(traj: Trajectory, g, L: int):
-    """Stage seed vectors of the cascade; seed l equals the last-l truncated
-    product applied to g (the saved-HVP reuse identity)."""
-    _check_L(L, traj.K)
-    _, seeds = _cascade(traj.hvp, traj.K, L, traj.alpha, np.asarray(g, dtype=float))
-    return seeds
-
-
-def binom_meta_gradient_batched(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> MetaGradient:
-    """Matrix form of the cascade: stage windows stacked as d x (K-L+1) columns.
-
-    The running sums become one product with a lower-triangular matrix of
-    ones (the strictly-lower part plus the diagonal), so each stage is
-
-        V <- outer(V[:, -1], 1^T) - alpha * U @ (strict_lower_ones + I).
-    """
-    K = traj.K
-    _check_L(L, K)
-    g = np.asarray(g, dtype=float)
-    if L == 0:
-        return MetaGradient(g, "binom-batched", 0, CostCounters(0, 0, 0))
-    alpha = _effective_alpha(traj, L, rescale_alpha)
-    width = K - L + 1
-    suffix_sums = strict_lower_ones(width) + np.eye(width)
-    ones = np.ones(width)
-    v = np.tile(g[:, None], (1, width))
-    for stage in range(L):
-        lo = L - 1 - stage
-        u = np.column_stack([traj.hvp(lo + j, v[:, j]) for j in range(width)])
-        v = np.outer(v[:, -1], ones) - alpha * (u @ suffix_sums)
-        _finite_or_raise(v, f"batched cascade stage {stage}")
-    return MetaGradient(v[:, 0], "binom-batched", L, CostCounters(L * (K - L + 1), L, K - L + 1))
 
 
 ORACLE_MAX_K = 14
@@ -293,7 +271,7 @@ def binomtrunc_meta_gradient(
         calls += 1
         return traj.hvp(k, v)
 
-    estimate, _ = _cascade(masked_hvp, K, L, alpha, g)
+    estimate = _cascade(masked_hvp, K, L, alpha, g)
     return MetaGradient(estimate, "binom-trunc", L, CostCounters(calls, min(L, calls), K - L + 1))
 
 
@@ -358,13 +336,6 @@ def estimate(traj: Trajectory, g, cfg: EstimatorConfig) -> MetaGradient:
         return trunc_meta_gradient(traj, g, cfg.L)
     if cfg.kind == "binom":
         return binom_meta_gradient(traj, g, cfg.L, cfg.rescale_alpha)
-    if cfg.kind == "binom-batched":
-        return binom_meta_gradient_batched(traj, g, cfg.L, cfg.rescale_alpha)
-    if cfg.kind == "binom-oracle":
-        vec = binom_oracle(traj, g, cfg.L, cfg.rescale_alpha)
-        # one HVP per tuple element; the longest tuple is the longest chain
-        total = sum(l * math.comb(traj.K, l) for l in range(1, cfg.L + 1))
-        return MetaGradient(vec, "binom-oracle", cfg.L, CostCounters(total, cfg.L, 2))
     if cfg.kind == "binom-trunc":
         c = traj.K if cfg.C is None else cfg.C
         return binomtrunc_meta_gradient(traj, g, cfg.L, c, cfg.rescale_alpha)
@@ -375,22 +346,3 @@ def estimate(traj: Trajectory, g, cfg: EstimatorConfig) -> MetaGradient:
             traj.objective, traj.final, g, cfg.imaml_lambda, cfg.cg_tol, cfg.cg_iters
         )
     raise ValueError(f"estimator kind {cfg.kind!r} has no per-task gradient estimate")
-
-
-def binom_expansion_matrix(traj: Trajectory, L: int, rescale_alpha: bool = False) -> np.ndarray:
-    """The order-L expansion as an explicit d x d matrix.
-
-    Same cascade recursion run on matrices seeded with the identity; intended
-    as a small-d oracle for checking that the matrix-operator and
-    vector-operator forms agree.
-    """
-    K = traj.K
-    _check_L(L, K)
-    d = traj.dim
-    eye = np.eye(d)
-    if L == 0:
-        return eye
-    alpha = _effective_alpha(traj, L, rescale_alpha)
-    hessians = [traj.step_hessian(k) for k in range(K)]
-    estimate_mat, _ = _cascade(lambda k, m: hessians[k] @ m, K, L, alpha, eye)
-    return estimate_mat

@@ -44,25 +44,6 @@ def is_symmetric(m: np.ndarray, rtol: float = 1e-12) -> bool:
     return float(np.max(np.abs(m - m.T))) <= rtol * scale
 
 
-def matvec(m, v) -> np.ndarray:
-    """Exact dense matrix-vector product with dimension and finiteness checks."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
-    out = m @ v
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matvec produced NaN or Inf")
-    return out
-
-
-def strict_lower_ones(n: int) -> np.ndarray:
-    """n x n matrix with entry (i, j) = 1 iff i > j, else 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.tril(np.ones((n, n)), k=-1)
-
-
 @dataclass(frozen=True)
 class CGResult:
     """Outcome of a conjugate-gradient solve."""

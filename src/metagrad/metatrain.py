@@ -20,12 +20,11 @@ import numpy as np
 from .adaptation import DivergenceError, gd_adapt, validation_gradient
 from .estimators import (
     EstimatorConfig,
+    backprop_products,
     binom_meta_gradient,
     estimate,
     estimation_error,
-    full_meta_gradient,
     reptile_direction,
-    trunc_meta_gradient,
 )
 from .objectives import (
     LogisticTask,
@@ -161,11 +160,15 @@ def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig
     err_fo = err_tr = err_bin = math.nan
     if cfg.track_errors:
         fo_errs, tr_errs, bin_errs = [], [], []
+        L = cfg.estimator.L
+        if not 0 <= L <= cfg.K:
+            raise ValueError(f"truncation L={L} outside [0, {cfg.K}]")
         for traj, g in zip(trajectories, grads):
-            exact = full_meta_gradient(traj, g)
+            products = list(backprop_products(traj, g))
+            exact = products[-1]
             fo_errs.append(estimation_error(g, exact))
-            tr_errs.append(estimation_error(trunc_meta_gradient(traj, g, cfg.estimator.L), exact))
-            bin_errs.append(estimation_error(binom_meta_gradient(traj, g, cfg.estimator.L), exact))
+            tr_errs.append(estimation_error(products[L], exact))
+            bin_errs.append(estimation_error(binom_meta_gradient(traj, g, L), exact))
         err_fo, err_tr, err_bin = map(lambda v: float(np.mean(v)), (fo_errs, tr_errs, bin_errs))
 
     row = TrainRecordRow(0, meta_loss, grad_norm, err_fo, err_tr, err_bin, hvp_total)
@@ -210,7 +213,8 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
 
     For every batch: adapt each task from the same theta, take the exact
     product as the reference, and record the batch-mean errors of the
-    first-order, truncated, and expansion estimates at each L. Returns
+    first-order, truncated, and expansion estimates at each L. The exact and
+    every truncated estimate come off one backprop pass per task. Returns
     (per_batch_rows, averaged_rows).
     """
     if batches < 1:
@@ -232,10 +236,11 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
         for pair in tasks:
             traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
             g = validation_gradient(pair.val, traj)
-            exact = full_meta_gradient(traj, g)
+            products = list(backprop_products(traj, g))
+            exact = products[-1]
             e_fo = estimation_error(g, exact)
             for L in l_values:
-                e_tr = estimation_error(trunc_meta_gradient(traj, g, L), exact)
+                e_tr = estimation_error(products[L], exact)
                 e_bin = estimation_error(
                     binom_meta_gradient(traj, g, L, cfg.estimator.rescale_alpha), exact
                 )

@@ -34,18 +34,21 @@ def hvp_finite_difference(obj, phi, v, eps: Optional[float] = None) -> np.ndarra
     """Central-difference Hessian-vector product from two gradient calls.
 
     Differences along the unit direction u = v/||v|| and rescales by ||v||,
-    so the result is exactly homogeneous in v. Default step is
+    so the result is exactly homogeneous in v. When ||v|| underflows, v is
+    scaled by max|v| instead; a zero v gives a zero product. Default step is
     eps = 1e-5 * (1 + ||phi||), balancing truncation against round-off.
     """
     phi = as_vector(phi)
     v = as_vector(v)
-    vnorm = float(np.linalg.norm(v))
-    if vnorm < 1e-150:
-        raise ValueError("direction v is zero (or denormal); HVP direction undefined")
     if eps is None:
         eps = 1e-5 * (1.0 + float(np.linalg.norm(phi)))
     if eps <= 0:
         raise ValueError("eps must be positive")
+    vnorm = float(np.linalg.norm(v))
+    if vnorm < 1e-150:
+        vnorm = float(np.max(np.abs(v), initial=0.0))
+        if vnorm == 0.0:
+            return np.zeros_like(v)
     u = v / vnorm
     gp = obj.gradient(phi + eps * u)
     gm = obj.gradient(phi - eps * u)
@@ -74,10 +77,6 @@ class TaskObjective(abc.ABC):
 
     def full_hessian(self, phi) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no explicit Hessian")
-
-    @property
-    def has_full_hessian(self) -> bool:
-        return type(self).full_hessian is not TaskObjective.full_hessian
 
 
 class QuadraticTask(TaskObjective):

@@ -4,8 +4,14 @@ from metagrad import (
     PrescribedHessianSequence,
     from_hessian_sequence,
     gd_adapt,
+    mlp_init,
+    random_logistic,
     random_quadratic,
+    sample_sinusoid_batch,
+    validation_gradient,
 )
+from metagrad.estimators import _cascade
+from metagrad.linalg import as_matrix, as_vector
 
 
 def quadratic_trajectory(rng, d=4, K=5, alpha=0.2, lo=0.0, hi=1.0):
@@ -26,6 +32,23 @@ def prescribed_trajectory(rng, d=4, K=5, alpha=0.25, scale=1.0):
     return from_hessian_sequence(seq, alpha), g
 
 
+def logistic_trajectory(rng, d=4, K=5, alpha=0.5):
+    """Random logistic-regression task (analytic HVP) adapted for K steps; returns (traj, g)."""
+    task = random_logistic(rng, d, max(2 * d, 20))
+    traj = gd_adapt(task, rng.standard_normal(d), alpha, K)
+    return traj, rng.standard_normal(d)
+
+
+def sine_trajectory(rng, K=5, alpha=1e-3, shots=5):
+    """One sine task on the 1-40-40-1 regressor (central-difference HVP); returns (traj, g).
+
+    alpha = 1e-3 keeps alpha*H well below 1 for this family (H is about 1e2).
+    """
+    task = sample_sinusoid_batch(rng, 1, shots)[0]
+    traj = gd_adapt(task.train_objective(), mlp_init(rng), alpha, K)
+    return traj, validation_gradient(task.val_objective(), traj)
+
+
 def dense_product(traj, L=None):
     """Explicit matrix (I - a H^{K-L}) ... (I - a H^{K-1}) for oracle checks."""
     K = traj.K
@@ -36,3 +59,28 @@ def dense_product(traj, L=None):
     for k in range(K - L, K):
         out = out @ (np.eye(d) - traj.alpha * traj.step_hessian(k))
     return out
+
+
+def binom_expansion_matrix(traj, L):
+    """The order-L expansion as an explicit d x d matrix: the estimators' cascade
+    run on matrices seeded with the identity."""
+    if L == 0:
+        return np.eye(traj.dim)
+    hessians = [traj.step_hessian(k) for k in range(traj.K)]
+    return _cascade(lambda k, m: hessians[k] @ m, traj.K, L, traj.alpha, np.eye(traj.dim))
+
+
+def matvec(m, v) -> np.ndarray:
+    """Dense matrix-vector product with dimension and finiteness checks."""
+    m = as_matrix(m)
+    v = as_vector(v)
+    if m.shape[1] != v.shape[0]:
+        raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
+    return m @ v
+
+
+def strict_lower_ones(n: int) -> np.ndarray:
+    """n x n matrix with entry (i, j) = 1 iff i > j, else 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return np.tril(np.ones((n, n)), k=-1)

@@ -162,10 +162,15 @@ class TestMetatrain:
             assert main(["metatrain", "--estimator", est, "--iters", "3", "--out", str(out), *extra]) == 0
 
     def test_truncation_out_of_range_exits_one(self, tmp_path, capsys):
-        args = ["metatrain", "--estimator", "trunc", "--L", "9", "--K", "5",
-                "--iters", "1", "--out", str(tmp_path / "x")]
-        assert main(args) == 1
-        assert "truncation" in capsys.readouterr().err
+        for extra in (["--estimator", "trunc"], ["--estimator", "fo", "--track-errors"]):
+            args = ["metatrain", "--L", "9", "--K", "5", "--iters", "1", "--out", str(tmp_path / "x"), *extra]
+            assert main(args) == 1
+            assert "truncation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["binom-batched", "binom-oracle"])
+    def test_removed_estimator_kinds_exit_one(self, tmp_path, capsys, kind):
+        assert main(["metatrain", "--estimator", kind, "--iters", "1", "--out", str(tmp_path / "x")]) == 1
+        assert "unknown estimator kind" in capsys.readouterr().err
 
 
 class TestCost:

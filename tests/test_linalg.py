@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metagrad import (
-    CGBreakdownError,
-    conjugate_gradient,
-    is_symmetric,
-    matvec,
-    strict_lower_ones,
-)
+from conftest import matvec, strict_lower_ones
+from metagrad import CGBreakdownError, conjugate_gradient, is_symmetric
 
 
 class TestMatvec:

@@ -53,9 +53,13 @@ class TestFiniteDifferenceHvp:
         assert np.max(np.abs(out - [2.0, 0.0])) <= 1e-6
 
     def test_zero_direction_flagged(self):
-        task = QuadraticTask(np.eye(2), [0.0, 0.0])
-        with pytest.raises(ValueError, match="zero"):
-            hvp_finite_difference(task, np.zeros(2), np.array([0.0, 1e-300]))
+        # a zero direction gives a zero product; a direction whose 2-norm
+        # underflows is scaled by max|v| instead of ||v||
+        task = QuadraticTask(np.diag([2.0, 3.0]), [0.0, 0.0])
+        phi = np.array([0.1, 0.2])
+        assert np.array_equal(hvp_finite_difference(task, phi, np.zeros(2)), np.zeros(2))
+        out = hvp_finite_difference(task, phi, np.array([0.0, 1e-300]))
+        assert np.max(np.abs(out - [0.0, 3e-300])) <= 1e-6 * 3e-300
 
     def test_matches_analytic_logistic(self):
         rng = np.random.default_rng(5)
