@@ -2,10 +2,11 @@
 
 The three meta-gradient estimators (first-order, truncated backprop, and the
 binomial-expansion cascade) admit closed-form worst-case error bounds in
-terms of K, L, alpha, and the curvature constants H and h. This script sweeps
-L for each smoothness regime with K=5, alpha=0.25, H=1.0 (and h=0.1, M=1 for
-the locally strongly convex case), prints the normalized curves, and writes
-one SVG per regime.
+terms of K, L, alpha, and the curvature constants H and h. This script runs
+``metagrad bounds`` with its defaults -- K=5, alpha=0.25, H=1.0, and h=0.1,
+M=1 for the locally strongly convex case -- which sweeps L for each
+smoothness regime, writes one SVG per regime, and prints the normalized
+curves from the CSV it wrote.
 
 The headline shape to look for: the truncated estimator's bound shrinks
 roughly geometrically in L, while the expansion estimator's bound collapses
@@ -15,41 +16,15 @@ bound in the smooth regime.
 
 from pathlib import Path
 
-from metagrad import BoundInputs, bound_sweep, sweep_csv
-from metagrad.svgchart import line_chart
+from metagrad import cli
 
 OUT = Path(__file__).parent / "output"
 
 
-def show(theorem: int, bi: BoundInputs):
-    rows = bound_sweep(theorem, bi)
-    print(f"\nregime {theorem}:  K={bi.K}  alpha={bi.alpha}  H={bi.H}"
-          + (f"  h={bi.h}  M={bi.M}" if theorem == 4 else ""))
-    print(f"  {'L':>2}  {'e_fo':>12}  {'e_tr':>12}  {'e_bin':>12}  {'tr/fo':>8}  {'bin/fo':>8}")
-    for r in rows:
-        print(f"  {r.L:>2}  {r.e_fo:12.6f}  {r.e_tr:12.6f}  {r.e_bin:12.6f}"
-              f"  {r.ratio_tr:8.4f}  {r.ratio_bin:8.4f}")
-    svg = line_chart(
-        [
-            ("first-order", [r.L for r in rows], [1.0] * len(rows)),
-            ("truncated", [r.L for r in rows], [r.ratio_tr for r in rows]),
-            ("binomial", [r.L for r in rows], [r.ratio_bin for r in rows]),
-        ],
-        title=f"Error bounds, regime {theorem}",
-        xlabel="truncation L",
-        ylabel="bound / first-order bound",
-    )
-    (OUT / f"bounds_regime{theorem}.svg").write_text(svg)
-    return rows
-
-
 def main():
-    OUT.mkdir(exist_ok=True)
-    rows = []
-    rows += show(2, BoundInputs(K=5, L=0, alpha=0.25, H=1.0))
-    rows += show(3, BoundInputs(K=5, L=0, alpha=0.25, H=1.0))
-    rows += show(4, BoundInputs(K=5, L=1, alpha=0.25, H=1.0, h=0.1, M=1))
-    (OUT / "bounds.csv").write_text(sweep_csv(rows))
+    if cli.main(["bounds", "--out", str(OUT)]) != 0:
+        raise SystemExit(1)
+    print((OUT / "bounds.csv").read_text(), end="")
     print(f"\nwrote {OUT}/bounds.csv and three SVGs")
 
 

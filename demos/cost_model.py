@@ -12,46 +12,21 @@ is the *shape* of the work:
 * the implicit (CG) estimate costs one HVP per solver iteration and holds a
   constant working set.
 
-The numbers below are measured by running each estimator for real on a small
-prescribed-curvature path and reading its counters back.
+The numbers below come from ``metagrad cost``, which runs each estimator for
+real on a small prescribed-curvature path (K=5) and reads its counters back.
 """
 
-import numpy as np
+from pathlib import Path
 
-from metagrad import (
-    PrescribedHessianSequence,
-    binom_meta_gradient,
-    fo_meta_gradient,
-    from_hessian_sequence,
-    full_meta_gradient,
-    trunc_meta_gradient,
-)
+from metagrad import cli
 
-
-def flat_curvature_path(K: int, d: int = 2):
-    hs = tuple(0.5 * np.eye(d) for _ in range(K))
-    g = np.zeros(d)
-    g[0] = 1.0
-    return from_hessian_sequence(PrescribedHessianSequence(hessians=hs, g=g), alpha=0.2), g
+OUT = Path(__file__).parent / "output"
 
 
 def main():
-    K = 5
-    traj, g = flat_curvature_path(K)
-    print(f"K = {K}")
-    print(f"{'estimator':>12} {'L':>3} {'hvp_total':>9} {'depth':>6} {'live':>5}")
-
-    def row(name, L, mg):
-        c = mg.cost
-        print(f"{name:>12} {L:>3} {c.hvp_total:>9} {c.sequential_depth:>6} {c.peak_live_vectors:>5}")
-
-    row("first-order", 0, fo_meta_gradient(g))
-    row("exact", K, full_meta_gradient(traj, g))
-    for L in range(K + 1):
-        row("truncated", L, trunc_meta_gradient(traj, g, L))
-    for L in range(K + 1):
-        row("expansion", L, binom_meta_gradient(traj, g, L))
-
+    if cli.main(["cost", "--out", str(OUT)]) != 0:
+        raise SystemExit(1)
+    print((OUT / "cost.csv").read_text(), end="")
     print("\nexpansion depth stays at L while total work peaks near L = K/2;")
     print("its live-vector window K-L+1 shrinks as L grows, which is why the")
     print("full-order cascade (L=K) matches the exact product's footprint.")

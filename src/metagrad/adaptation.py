@@ -6,12 +6,12 @@ serial per task; independent tasks can adapt concurrently, and a finished
 trajectory is immutable and safe to share.
 """
 
-import io
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .csvtable import csv_text
 from .linalg import as_vector
 from .objectives import PrescribedHessianSequence, TaskObjective
 
@@ -126,11 +126,9 @@ def from_hessian_sequence(seq: PrescribedHessianSequence, alpha: float) -> Traje
 def trajectory_csv(traj: Trajectory) -> str:
     """Debug dump: one row per step with iterate and gradient entries."""
     d = traj.dim
-    out = io.StringIO()
     header = ["step"] + [f"phi_{i}" for i in range(d)] + [f"grad_{i}" for i in range(d)]
-    out.write(",".join(header) + "\n")
-    for k, phi in enumerate(traj.iterates):
-        grad = traj.grads[k] if k < traj.K else np.full(d, np.nan)
-        cells = [str(k)] + [repr(float(x)) for x in phi] + [repr(float(x)) for x in grad]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    rows = (
+        [k, *phi, *(traj.grads[k] if k < traj.K else np.full(d, np.nan))]
+        for k, phi in enumerate(traj.iterates)
+    )
+    return csv_text(",".join(header), rows)

@@ -26,10 +26,11 @@ cannot fail from coefficient round-off. A K <= 60 guard keeps the powers well
 inside double range.
 """
 
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import List
+
+from .csvtable import csv_text, row_values
 
 MAX_K = 60
 
@@ -235,11 +236,4 @@ def bound_sweep(theorem: int, bi: BoundInputs) -> List[SweepRow]:
 
 
 def sweep_csv(rows: List[SweepRow]) -> str:
-    out = io.StringIO()
-    out.write(SWEEP_CSV_HEADER + "\n")
-    for r in rows:
-        out.write(
-            f"{r.theorem},{r.K},{r.L},{r.M},{r.alpha!r},{r.H!r},{r.h!r},"
-            f"{r.e_fo!r},{r.e_tr!r},{r.e_bin!r},{r.ratio_tr!r},{r.ratio_bin!r}\n"
-        )
-    return out.getvalue()
+    return csv_text(SWEEP_CSV_HEADER, map(row_values, rows))

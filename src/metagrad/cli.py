@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .adaptation import DivergenceError, from_hessian_sequence
 from .bounds import BoundInputs, bound_sweep, sweep_csv
+from .csvtable import csv_text
 from .estimators import (
     EstimatorConfig,
     binom_meta_gradient,
@@ -286,19 +287,15 @@ def run_cost(cfg: dict, out_dir: Path):
     seq = sharpness_sequence("theorem3-pos", K, 0, 0.5, d)
     traj = from_hessian_sequence(seq, cfg["alpha"])
     g = seq.g
-    lines = ["estimator,K,L,hvp_total,sequential_depth,peak_live_vectors"]
-
-    def emit(name, L, mg):
-        c = mg.cost
-        lines.append(f"{name},{K},{L},{c.hvp_total},{c.sequential_depth},{c.peak_live_vectors}")
-
-    emit("fo", 0, fo_meta_gradient(g))
-    emit("full", K, full_meta_gradient(traj, g))
-    for L in range(K + 1):
-        emit("trunc", L, trunc_meta_gradient(traj, g, L))
-    for L in range(K + 1):
-        emit("binom", L, binom_meta_gradient(traj, g, L))
-    _write(out_dir, "cost.csv", "\n".join(lines) + "\n")
+    runs = [("fo", 0, fo_meta_gradient(g)), ("full", K, full_meta_gradient(traj, g))]
+    runs += [("trunc", L, trunc_meta_gradient(traj, g, L)) for L in range(K + 1)]
+    runs += [("binom", L, binom_meta_gradient(traj, g, L)) for L in range(K + 1)]
+    rows = [
+        (name, K, L, mg.cost.hvp_total, mg.cost.sequential_depth, mg.cost.peak_live_vectors)
+        for name, L, mg in runs
+    ]
+    header = "estimator,K,L,hvp_total,sequential_depth,peak_live_vectors"
+    _write(out_dir, "cost.csv", csv_text(header, rows))
 
 
 RUNNERS = {

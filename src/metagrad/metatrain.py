@@ -10,16 +10,17 @@ concurrently); the meta-update is a single reduction in fixed task order, so
 records are bitwise-reproducible given (seed, config).
 """
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
 import numpy as np
 
-from .adaptation import DivergenceError, gd_adapt, validation_gradient
+from .adaptation import DivergenceError, Trajectory, gd_adapt, validation_gradient
+from .csvtable import csv_text, row_values
 from .estimators import (
     EstimatorConfig,
+    _check_L,
     backprop_products,
     binom_meta_gradient,
     estimate,
@@ -121,14 +122,23 @@ TRAIN_CSV_HEADER = "iter,meta_loss,grad_norm,err_fo,err_tr,err_bin,hvp_total"
 
 
 def train_csv(rows: Sequence[TrainRecordRow]) -> str:
-    out = io.StringIO()
-    out.write(TRAIN_CSV_HEADER + "\n")
-    for r in rows:
-        out.write(
-            f"{r.iteration},{r.meta_loss!r},{r.grad_norm!r},"
-            f"{r.err_fo!r},{r.err_tr!r},{r.err_bin!r},{r.hvp_total}\n"
-        )
-    return out.getvalue()
+    return csv_text(TRAIN_CSV_HEADER, map(row_values, rows))
+
+
+def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alpha: bool):
+    """[(e_fo, e_tr, e_bin) per L]: errors of the first-order, truncated and
+    expansion estimates against the exact product, with the exact and every
+    truncated estimate read off one backprop pass."""
+    for L in l_values:
+        _check_L(L, traj.K)
+    products = list(backprop_products(traj, g))
+    exact = products[-1]
+    e_fo = estimation_error(g, exact)
+    return [
+        (e_fo, estimation_error(products[L], exact),
+         estimation_error(binom_meta_gradient(traj, g, L, rescale_alpha), exact))
+        for L in l_values
+    ]
 
 
 def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig):
@@ -159,17 +169,9 @@ def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig
 
     err_fo = err_tr = err_bin = math.nan
     if cfg.track_errors:
-        fo_errs, tr_errs, bin_errs = [], [], []
-        L = cfg.estimator.L
-        if not 0 <= L <= cfg.K:
-            raise ValueError(f"truncation L={L} outside [0, {cfg.K}]")
-        for traj, g in zip(trajectories, grads):
-            products = list(backprop_products(traj, g))
-            exact = products[-1]
-            fo_errs.append(estimation_error(g, exact))
-            tr_errs.append(estimation_error(products[L], exact))
-            bin_errs.append(estimation_error(binom_meta_gradient(traj, g, L), exact))
-        err_fo, err_tr, err_bin = map(lambda v: float(np.mean(v)), (fo_errs, tr_errs, bin_errs))
+        errs = [_estimator_errors(t, g, [cfg.estimator.L], cfg.estimator.rescale_alpha)[0]
+                for t, g in zip(trajectories, grads)]
+        err_fo, err_tr, err_bin = (float(np.mean(column)) for column in zip(*errs))
 
     row = TrainRecordRow(0, meta_loss, grad_norm, err_fo, err_tr, err_bin, hvp_total)
     return theta_next, row
@@ -189,9 +191,7 @@ def run_metatrain(cfg: MetaTrainConfig):
             theta, row = meta_step(theta, tasks, cfg)
         except DivergenceError as exc:
             raise DivergenceError(f"meta-iteration {i}: {exc}") from exc
-        records.append(
-            TrainRecordRow(i, row.meta_loss, row.grad_norm, row.err_fo, row.err_tr, row.err_bin, row.hvp_total)
-        )
+        records.append(replace(row, iteration=i))
     return records, theta
 
 
@@ -220,53 +220,33 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
     if batches < 1:
         raise ValueError("batches must be >= 1")
     l_values = list(l_values)
-    for L in l_values:
-        if not 0 <= L <= cfg.K:
-            raise ValueError(f"L={L} outside [0, {cfg.K}]")
 
     init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     theta = initial_theta(cfg, np.random.default_rng(init_ss))
     task_rng = np.random.default_rng(task_ss)
 
     per_batch = []
-    sums = {L: np.zeros(3) for L in l_values}
+    sums = [np.zeros(3) for _ in l_values]  # by position, so a repeated L is not summed twice
     for b in range(batches):
-        tasks = sample_task_batch(cfg, task_rng)
-        errs = {L: [] for L in l_values}
-        for pair in tasks:
+        errs = []  # per task, one (e_fo, e_tr, e_bin) per L
+        for pair in sample_task_batch(cfg, task_rng):
             traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
             g = validation_gradient(pair.val, traj)
-            products = list(backprop_products(traj, g))
-            exact = products[-1]
-            e_fo = estimation_error(g, exact)
-            for L in l_values:
-                e_tr = estimation_error(products[L], exact)
-                e_bin = estimation_error(
-                    binom_meta_gradient(traj, g, L, cfg.estimator.rescale_alpha), exact
-                )
-                errs[L].append((e_fo, e_tr, e_bin))
-        for L in l_values:
-            mean = np.mean(np.array(errs[L]), axis=0)
-            sums[L] += mean
+            errs.append(_estimator_errors(traj, g, l_values, cfg.estimator.rescale_alpha))
+        for L, per_task, total in zip(l_values, zip(*errs), sums):
+            mean = np.mean(np.array(per_task), axis=0)
+            total += mean
             per_batch.append(ErrorRow(b, L, float(mean[0]), float(mean[1]), float(mean[2])))
 
     averaged = [
-        ErrorRow(-1, L, *(float(x) for x in sums[L] / batches)) for L in l_values
+        ErrorRow(-1, L, *(float(x) for x in total / batches)) for L, total in zip(l_values, sums)
     ]
     return per_batch, averaged
 
 
 def per_batch_csv(rows: Sequence[ErrorRow]) -> str:
-    out = io.StringIO()
-    out.write(PER_BATCH_CSV_HEADER + "\n")
-    for r in rows:
-        out.write(f"{r.batch},{r.L},{r.err_fo!r},{r.err_tr!r},{r.err_bin!r}\n")
-    return out.getvalue()
+    return csv_text(PER_BATCH_CSV_HEADER, map(row_values, rows))
 
 
 def averaged_csv(rows: Sequence[ErrorRow]) -> str:
-    out = io.StringIO()
-    out.write(AVERAGED_CSV_HEADER + "\n")
-    for r in rows:
-        out.write(f"{r.L},{r.err_fo!r},{r.err_tr!r},{r.err_bin!r}\n")
-    return out.getvalue()
+    return csv_text(AVERAGED_CSV_HEADER, (row_values(r)[1:] for r in rows))

@@ -15,12 +15,13 @@ single instance may be evaluated concurrently from many tasks.
 """
 
 import abc
-import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvtable import csv_text
 from .linalg import as_matrix, as_vector, is_symmetric
 
 AMPLITUDE_RANGE = (0.1, 5.0)
@@ -92,7 +93,10 @@ class QuadraticTask(TaskObjective):
         self.a = a
         self.b = b
         self.dim = b.shape[0]
-        self.smoothness = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+    @cached_property
+    def smoothness(self) -> float:
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.a))))
 
     def value(self, phi) -> float:
         phi = as_vector(phi)
@@ -127,8 +131,11 @@ class LogisticTask(TaskObjective):
         self.y = y
         self.dim = x.shape[0]
         self.n = x.shape[1]
+
+    @cached_property
+    def smoothness(self) -> float:
         # sigmoid'(z) <= 1/4, so ||Hessian|| <= lambda_max(X X^T) / (4 N)
-        self.smoothness = float(np.linalg.eigvalsh(x @ x.T).max() / (4.0 * self.n))
+        return float(np.linalg.eigvalsh(self.x @ self.x.T).max() / (4.0 * self.n))
 
     @staticmethod
     def _sigmoid(z):
@@ -204,7 +211,6 @@ class MlpObjective(TaskObjective):
         if self.x.shape != self.y.shape:
             raise ValueError("x and y must have the same length")
         self.dim = mlp_dim()
-        self.smoothness = None
 
     def _forward(self, theta):
         p = _unpack(as_vector(theta))
@@ -214,13 +220,6 @@ class MlpObjective(TaskObjective):
         h2 = np.tanh(a2)
         yhat = h2.T @ p["w3"] + p["b3"][0]
         return p, h1, h2, yhat
-
-    def predict(self, theta, x) -> np.ndarray:
-        p = _unpack(as_vector(theta))
-        x = as_vector(x)
-        h1 = np.tanh(np.outer(p["w1"], x) + p["b1"][:, None])
-        h2 = np.tanh(p["w2"] @ h1 + p["b2"][:, None])
-        return h2.T @ p["w3"] + p["b3"][0]
 
     def value(self, theta) -> float:
         _, _, _, yhat = self._forward(theta)
@@ -290,13 +289,13 @@ def sample_sinusoid_batch(seed, batch: int, shots: int):
 
 def sinusoid_batch_csv(tasks: Sequence[SinusoidTask]) -> str:
     """Serialize a task batch, one row per data point: task_id,split,x,y."""
-    out = io.StringIO()
-    out.write("task_id,split,x,y\n")
-    for i, task in enumerate(tasks):
-        for split, xs, ys in (("train", task.x_train, task.y_train), ("val", task.x_val, task.y_val)):
-            for x, y in zip(xs, ys):
-                out.write(f"{i},{split},{x!r},{y!r}\n")
-    return out.getvalue()
+    rows = (
+        (i, split, x, y)
+        for i, task in enumerate(tasks)
+        for split, xs, ys in (("train", task.x_train, task.y_train), ("val", task.x_val, task.y_val))
+        for x, y in zip(xs, ys)
+    )
+    return csv_text("task_id,split,x,y", rows)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from metagrad import (
     validation_gradient,
 )
 from metagrad.estimators import _cascade
-from metagrad.linalg import as_matrix, as_vector
 
 
 def quadratic_trajectory(rng, d=4, K=5, alpha=0.2, lo=0.0, hi=1.0):
@@ -68,15 +67,6 @@ def binom_expansion_matrix(traj, L):
         return np.eye(traj.dim)
     hessians = [traj.step_hessian(k) for k in range(traj.K)]
     return _cascade(lambda k, m: hessians[k] @ m, traj.K, L, traj.alpha, np.eye(traj.dim))
-
-
-def matvec(m, v) -> np.ndarray:
-    """Dense matrix-vector product with dimension and finiteness checks."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
-    return m @ v
 
 
 def strict_lower_ones(n: int) -> np.ndarray:

@@ -136,3 +136,10 @@ class TestTrajectoryCsv:
         lines = trajectory_csv(traj).strip().splitlines()
         assert lines[0] == "step,phi_0,phi_1,grad_0,grad_1"
         assert len(lines) == 1 + 4  # K+1 iterates
+        for k, line in enumerate(lines[1:]):
+            step, *cells = line.split(",")
+            values = np.array([float(c) for c in cells])
+            assert step == str(k)
+            assert np.array_equal(values[:2], traj.iterates[k])
+            grad = traj.grads[k] if k < traj.K else np.full(2, np.nan)
+            assert np.array_equal(values[2:], grad, equal_nan=True)

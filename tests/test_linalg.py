@@ -1,50 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import matvec, strict_lower_ones
+from conftest import strict_lower_ones
 from metagrad import CGBreakdownError, conjugate_gradient, is_symmetric
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_diagonal_scaling(self):
-        assert np.array_equal(matvec(np.diag([2.0, 3.0]), [1.0, 1.0]), [2.0, 3.0])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((4, 4))
-        v = rng.standard_normal(4)
-        expected = np.zeros(4)
-        for i in range(4):
-            for j in range(4):
-                expected[i] += m[i, j] * v[j]
-        assert np.max(np.abs(matvec(m, v) - expected)) <= 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(np.eye(3), [1.0, 2.0])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            matvec(np.array([[np.nan, 0.0], [0.0, 1.0]]), [1.0, 1.0])
-
-    @given(
-        a=st.floats(-10, 10),
-        b=st.floats(-10, 10),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_linearity(self, a, b, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((3, 3))
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(3)
-        lhs = matvec(m, a * u + b * v)
-        rhs = a * matvec(m, u) + b * matvec(m, v)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
 
 class TestStrictLowerOnes:

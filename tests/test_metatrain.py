@@ -6,12 +6,17 @@ from metagrad import (
     MetaTrainConfig,
     QuadraticTask,
     TaskPair,
+    binom_meta_gradient,
+    estimation_error,
+    full_meta_gradient,
+    gd_adapt,
     meta_step,
     run_error_experiment,
     run_metatrain,
     sample_task_batch,
+    validation_gradient,
 )
-from metagrad.metatrain import TRAIN_CSV_HEADER, averaged_csv, per_batch_csv, train_csv
+from metagrad.metatrain import TRAIN_CSV_HEADER, averaged_csv, initial_theta, per_batch_csv, train_csv
 
 
 def _zero_task():
@@ -73,6 +78,22 @@ class TestRunMetatrain:
         assert records_a == records_b
         assert np.array_equal(theta_a, theta_b)
         assert train_csv(records_a) == train_csv(records_b)
+
+    def test_tracked_binom_error_uses_rescale_alpha(self):
+        est = EstimatorConfig(kind="binom", L=2, rescale_alpha=True)
+        cfg = MetaTrainConfig(
+            estimator=est, family="quadratic", iterations=1, meta_batch=3, dim=4, seed=4, track_errors=True
+        )
+        records, _ = run_metatrain(cfg)
+        init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+        theta = initial_theta(cfg, np.random.default_rng(init_ss))
+        errs = []
+        for pair in sample_task_batch(cfg, np.random.default_rng(task_ss)):
+            traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
+            g = validation_gradient(pair.val, traj)
+            rescaled = binom_meta_gradient(traj, g, 2, rescale_alpha=True)
+            errs.append(estimation_error(rescaled, full_meta_gradient(traj, g)))
+        assert records[0].err_bin == float(np.mean(errs))
 
     def test_binom_full_order_matches_full_trajectory(self):
         common = dict(family="quadratic", iterations=100, meta_batch=4, dim=4, seed=3, beta=1e-3)
@@ -153,7 +174,8 @@ class TestErrorExperiment:
 
     def test_single_batch_averages_trivially(self):
         cfg = MetaTrainConfig(family="quadratic", meta_batch=4, dim=3, seed=8)
-        per_batch, averaged = run_error_experiment(cfg, [1, 2], batches=1)
+        per_batch, averaged = run_error_experiment(cfg, [1, 2, 1], batches=1)
+        assert len(per_batch) == len(averaged) == 3
         for pb, av in zip(per_batch, averaged):
             assert (pb.L, pb.err_fo, pb.err_tr, pb.err_bin) == (av.L, av.err_fo, av.err_tr, av.err_bin)
 

@@ -181,6 +181,12 @@ class TestSinusoidSampling:
         lines = sinusoid_batch_csv(tasks).strip().splitlines()
         assert lines[0] == "task_id,split,x,y"
         assert len(lines) == 1 + 2 * 2 * 3
+        cells = [line.split(",") for line in lines[1:]]
+        for i, task in enumerate(tasks):
+            for split, xs, ys in (("train", task.x_train, task.y_train), ("val", task.x_val, task.y_val)):
+                rows = [c for c in cells if c[:2] == [str(i), split]]
+                assert [float(c[2]) for c in rows] == list(xs)
+                assert [float(c[3]) for c in rows] == list(ys)
 
 
 class TestSharpnessSequences:
