@@ -11,7 +11,7 @@ Two task families:
 * random convex quadratics with curvature spectra in [0, 1] and alpha = 0.25,
   where every quantity has a closed form;
 * few-shot sine regression with a small tanh network adapted by gradient
-  descent, where Hessian-vector products come from central differences. The
+  descent, where Hessian-vector products come from an exact R-op. The
   network's curvature is around 1e2, so we run alpha = 1e-3 to stay in the
   bounded-step regime the estimators assume.
 
@@ -42,7 +42,7 @@ def main():
         batches=10,
     )
     report(
-        "sine regression (finite-difference HVPs)",
+        "sine regression (exact R-op HVPs)",
         MetaTrainConfig(family="sinusoid", K=K, alpha=1e-3, shots=10,
                         meta_batch=10, seed=0),
         batches=5,

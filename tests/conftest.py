@@ -39,7 +39,7 @@ def logistic_trajectory(rng, d=4, K=5, alpha=0.5):
 
 
 def sine_trajectory(rng, K=5, alpha=1e-3, shots=5):
-    """One sine task on the 1-40-40-1 regressor (central-difference HVP); returns (traj, g).
+    """One sine task on the 1-40-40-1 regressor (exact R-op HVP); returns (traj, g).
 
     alpha = 1e-3 keeps alpha*H well below 1 for this family (H is about 1e2).
     """

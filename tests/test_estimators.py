@@ -154,12 +154,10 @@ class TestBinom:
             for L in range(K + 1):
                 want = binom_oracle(traj, g, L)
                 assert rel_err(binom_meta_gradient(traj, g, L).estimate, want) <= 1e-10
-        # the sine family's central-difference HVP is additive only to about
-        # 1e-9 relative, so the cascade and the enumeration part by that much
         traj, g = sine_trajectory(rng, K=K)
         for L in range(K + 1):
             want = binom_oracle(traj, g, L)
-            assert rel_err(binom_meta_gradient(traj, g, L).estimate, want) <= 1e-7
+            assert rel_err(binom_meta_gradient(traj, g, L).estimate, want) <= 1e-10
 
     def test_counters(self):
         rng = np.random.default_rng(11)

@@ -94,6 +94,58 @@ class TestHvpHessianConsistency:
             assert err <= 1e-10 * np.linalg.norm(v) * max(np.linalg.norm(h), 1e-30)
 
 
+def _objective_and_point(family, rng):
+    if family == "quadratic":
+        return random_quadratic(rng, 5, -1.0, 1.0), rng.standard_normal(5)
+    if family == "logistic":
+        return random_logistic(rng, 5, 20), rng.standard_normal(5)
+    x = rng.uniform(-5, 5, 10)
+    obj = MlpObjective(x, rng.uniform(0.1, 5.0) * np.sin(x + rng.uniform(0, np.pi)))
+    return obj, mlp_init(rng) + 0.1 * rng.standard_normal(obj.dim)
+
+
+class TestHvpContract:
+    """Every family's HVP is linear, symmetric and maps zero to an exact zero."""
+
+    FAMILIES = ["quadratic", "logistic", "mlp"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_linear(self, family):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            obj, phi = _objective_and_point(family, rng)
+            u, v = rng.standard_normal((2, obj.dim))
+            a, b = rng.standard_normal(2)
+            hu, hv = obj.hvp(phi, u), obj.hvp(phi, v)
+            err = np.linalg.norm(obj.hvp(phi, a * u + b * v) - (a * hu + b * hv))
+            assert err <= 1e-12 * (abs(a) * np.linalg.norm(hu) + abs(b) * np.linalg.norm(hv))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_symmetric(self, family):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            obj, phi = _objective_and_point(family, rng)
+            u, v = rng.standard_normal((2, obj.dim))
+            hu, hv = obj.hvp(phi, u), obj.hvp(phi, v)
+            scale = max(np.linalg.norm(u) * np.linalg.norm(hv), np.linalg.norm(v) * np.linalg.norm(hu))
+            assert abs(u @ hv - v @ hu) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_zero_in_zero_out(self, family):
+        rng = np.random.default_rng(33)
+        obj, phi = _objective_and_point(family, rng)
+        assert np.array_equal(obj.hvp(phi, np.zeros(obj.dim)), np.zeros(obj.dim))
+
+    def test_mlp_matches_finite_difference(self):
+        rng = np.random.default_rng(34)
+        for _ in range(4):
+            obj, theta = _objective_and_point("mlp", rng)
+            v = rng.standard_normal(obj.dim)
+            exact = obj.hvp(theta, v)
+            approx = hvp_finite_difference(obj, theta, v)
+            assert np.linalg.norm(exact - approx) <= 1e-6 * np.linalg.norm(approx)
+
+
 class TestGradientsMatchValues:
     def test_quadratic(self):
         rng = np.random.default_rng(1)
