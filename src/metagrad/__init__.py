@@ -11,7 +11,6 @@ from .adaptation import (
     Trajectory,
     from_hessian_sequence,
     gd_adapt,
-    trajectory_csv,
     validation_gradient,
 )
 from .bounds import (
@@ -69,7 +68,6 @@ from .objectives import (
     QuadraticTask,
     SinusoidTask,
     TaskObjective,
-    estimate_smoothness,
     hvp_finite_difference,
     mlp_init,
     random_logistic,
@@ -77,8 +75,6 @@ from .objectives import (
     random_spd,
     sample_sinusoid_batch,
     sharpness_sequence,
-    sinusoid_batch_csv,
-    spectral_norm,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Inner-loop gradient descent and trajectory recording.
 
 Adaptation runs phi^{k+1} = phi^k - alpha * grad(phi^k) from phi^0 = theta and
-records every iterate and training gradient. The recursion is inherently
-serial per task; independent tasks can adapt concurrently, and a finished
-trajectory is immutable and safe to share.
+records every iterate. The recursion is inherently serial per task;
+independent tasks can adapt concurrently, and a finished trajectory is
+immutable and safe to share.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from .csvtable import csv_text
 from .linalg import as_vector
 from .objectives import PrescribedHessianSequence, TaskObjective
 
@@ -24,13 +23,12 @@ class DivergenceError(RuntimeError):
 class Trajectory:
     """A recorded K-step descent path for one task.
 
-    ``iterates`` holds phi^0..phi^K and ``grads`` the K training gradients at
-    phi^0..phi^{K-1}. HVPs are replayed on demand through :meth:`hvp`, either
-    via the backing objective or via a prescribed per-step Hessian sequence.
+    ``iterates`` holds phi^0..phi^K. HVPs are replayed on demand through
+    :meth:`hvp`, either via the backing objective or via a prescribed per-step
+    Hessian sequence.
     """
 
     iterates: tuple
-    grads: tuple
     alpha: float
     objective: Optional[TaskObjective] = None
     step_hessians: Optional[tuple] = None
@@ -42,10 +40,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.iterates[0].shape[0]
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.iterates[0]
 
     @property
     def final(self) -> np.ndarray:
@@ -76,7 +70,6 @@ def gd_adapt(obj: TaskObjective, theta, alpha: float, K: int) -> Trajectory:
     if phi.shape[0] != obj.dim:
         raise ValueError(f"theta has dimension {phi.shape[0]}, objective expects {obj.dim}")
     iterates = [phi]
-    grads = []
     for k in range(K):
         try:
             g = obj.gradient(phi)
@@ -84,13 +77,12 @@ def gd_adapt(obj: TaskObjective, theta, alpha: float, K: int) -> Trajectory:
             raise DivergenceError(f"gradient evaluation failed at step {k}: {exc}") from exc
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"training gradient diverged (NaN/Inf) at step {k}")
-        grads.append(g)
         with np.errstate(over="ignore", invalid="ignore"):
             phi = phi - alpha * g
         if not np.all(np.isfinite(phi)):
             raise DivergenceError(f"iterate diverged (NaN/Inf) at step {k}")
         iterates.append(phi)
-    return Trajectory(iterates=tuple(iterates), grads=tuple(grads), alpha=float(alpha), objective=obj)
+    return Trajectory(iterates=tuple(iterates), alpha=float(alpha), objective=obj)
 
 
 def validation_gradient(val_obj: TaskObjective, traj: Trajectory) -> np.ndarray:
@@ -114,21 +106,6 @@ def from_hessian_sequence(seq: PrescribedHessianSequence, alpha: float) -> Traje
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     zero = np.zeros(seq.dim)
-    return Trajectory(
-        iterates=tuple(zero for _ in range(seq.steps + 1)),
-        grads=tuple(zero for _ in range(seq.steps)),
-        alpha=float(alpha),
-        objective=None,
-        step_hessians=seq.hessians,
-    )
+    iterates = tuple(zero for _ in range(seq.steps + 1))
+    return Trajectory(iterates=iterates, alpha=float(alpha), step_hessians=seq.hessians)
 
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """Debug dump: one row per step with iterate and gradient entries."""
-    d = traj.dim
-    header = ["step"] + [f"phi_{i}" for i in range(d)] + [f"grad_{i}" for i in range(d)]
-    rows = (
-        [k, *phi, *(traj.grads[k] if k < traj.K else np.full(d, np.nan))]
-        for k, phi in enumerate(traj.iterates)
-    )
-    return csv_text(",".join(header), rows)

@@ -138,6 +138,8 @@ def _parse_config_file(path: str, schema) -> dict:
 
 
 def _finalize(command: str, cfg: dict):
+    if command == "metatrain" and cfg["iters"] == 0:
+        raise ValueError("iters must be >= 1, or negative for the family default")
     if command == "metatrain" and cfg["iters"] < 0:
         # sine-regression runs default to the long desk-scale protocol
         cfg["iters"] = 10_000 if cfg["family"] == "sinusoid" else 1000

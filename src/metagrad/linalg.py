@@ -35,13 +35,13 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def is_symmetric(m: np.ndarray, rtol: float = 1e-12) -> bool:
-    """True when max|M - M^T| <= rtol * max|M| (zero matrix counts)."""
+def is_symmetric(m: np.ndarray) -> bool:
+    """True when max|M - M^T| <= 1e-12 * max|M| (zero matrix counts)."""
     m = np.asarray(m, dtype=float)
     scale = np.max(np.abs(m)) if m.size else 0.0
     if scale == 0.0:
         return True
-    return float(np.max(np.abs(m - m.T))) <= rtol * scale
+    return float(np.max(np.abs(m - m.T))) <= 1e-12 * scale
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from .estimators import (
     reptile_direction,
 )
 from .objectives import (
-    LogisticTask,
     TaskObjective,
     mlp_init,
+    random_logistic,
     random_quadratic,
     sample_sinusoid_batch,
 )
@@ -71,18 +71,15 @@ class MetaTrainConfig:
             raise ValueError("meta_batch must be >= 1")
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.hmax < 0:
+            raise ValueError("hmax must be >= 0")
 
 
 def _logistic_pair(rng: np.random.Generator, d: int, n: int) -> TaskPair:
     w = rng.standard_normal(d)
-
-    def draw():
-        x = rng.standard_normal((d, n))
-        probs = LogisticTask._sigmoid(x.T @ w)
-        y = (rng.uniform(size=n) < probs).astype(float)
-        return LogisticTask(x, y)
-
-    return TaskPair(train=draw(), val=draw())
+    return TaskPair(train=random_logistic(rng, w, n), val=random_logistic(rng, w, n))
 
 
 def sample_task_batch(cfg: MetaTrainConfig, rng: np.random.Generator) -> List[TaskPair]:

@@ -16,12 +16,10 @@ single instance may be evaluated concurrently from many tasks.
 
 import abc
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .csvtable import csv_text
 from .linalg import as_matrix, as_vector, is_symmetric
 
 AMPLITUDE_RANGE = (0.1, 5.0)
@@ -31,20 +29,17 @@ INPUT_RANGE = (-5.0, 5.0)
 MLP_HIDDEN = 40  # regressor is 1 -> 40 -> 40 -> 1 with tanh activations
 
 
-def hvp_finite_difference(obj, phi, v, eps: Optional[float] = None) -> np.ndarray:
+def hvp_finite_difference(obj, phi, v) -> np.ndarray:
     """Central-difference Hessian-vector product from two gradient calls.
 
     Differences along the unit direction u = v/||v|| and rescales by ||v||,
     so the result is exactly homogeneous in v. When ||v|| underflows, v is
-    scaled by max|v| instead; a zero v gives a zero product. Default step is
+    scaled by max|v| instead; a zero v gives a zero product. The step is
     eps = 1e-5 * (1 + ||phi||), balancing truncation against round-off.
     """
     phi = as_vector(phi)
     v = as_vector(v)
-    if eps is None:
-        eps = 1e-5 * (1.0 + float(np.linalg.norm(phi)))
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = 1e-5 * (1.0 + float(np.linalg.norm(phi)))
     vnorm = float(np.linalg.norm(v))
     if vnorm < 1e-150:
         vnorm = float(np.max(np.abs(v), initial=0.0))
@@ -59,13 +54,12 @@ def hvp_finite_difference(obj, phi, v, eps: Optional[float] = None) -> np.ndarra
 class TaskObjective(abc.ABC):
     """Contract for a smooth loss: value, gradient, HVP at any point.
 
-    ``smoothness`` is the Lipschitz constant of the gradient when analytically
-    known, else None. ``full_hessian`` is optional and only available for
-    families with an explicit Hessian.
+    ``hvp`` defaults to :func:`hvp_finite_difference`; families with an
+    analytic product override it. ``full_hessian`` is optional and only
+    available for families with an explicit Hessian.
     """
 
     dim: int
-    smoothness: Optional[float] = None
 
     @abc.abstractmethod
     def value(self, phi) -> float: ...
@@ -93,10 +87,6 @@ class QuadraticTask(TaskObjective):
         self.a = a
         self.b = b
         self.dim = b.shape[0]
-
-    @cached_property
-    def smoothness(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.a))))
 
     def value(self, phi) -> float:
         phi = as_vector(phi)
@@ -131,11 +121,6 @@ class LogisticTask(TaskObjective):
         self.y = y
         self.dim = x.shape[0]
         self.n = x.shape[1]
-
-    @cached_property
-    def smoothness(self) -> float:
-        # sigmoid'(z) <= 1/4, so ||Hessian|| <= lambda_max(X X^T) / (4 N)
-        return float(np.linalg.eigvalsh(self.x @ self.x.T).max() / (4.0 * self.n))
 
     @staticmethod
     def _sigmoid(z):
@@ -311,17 +296,6 @@ def sample_sinusoid_batch(seed, batch: int, shots: int):
     return tasks
 
 
-def sinusoid_batch_csv(tasks: Sequence[SinusoidTask]) -> str:
-    """Serialize a task batch, one row per data point: task_id,split,x,y."""
-    rows = (
-        (i, split, x, y)
-        for i, task in enumerate(tasks)
-        for split, xs, ys in (("train", task.x_train, task.y_train), ("val", task.x_val, task.y_val))
-        for x, y in zip(xs, ys)
-    )
-    return csv_text("task_id,split,x,y", rows)
-
-
 @dataclass(frozen=True)
 class PrescribedHessianSequence:
     """A fixed per-step curvature sequence {H^k} plus a validation gradient g.
@@ -373,6 +347,8 @@ def sharpness_sequence(kind: str, K: int, L: int, H: float, d: int, g=None) -> P
         raise ValueError("H must be positive")
     if not 0 <= L <= K:
         raise ValueError("need 0 <= L <= K")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     eye = np.eye(d)
     if kind == "theorem2-neg":
         hs = tuple(-H * eye for _ in range(K))
@@ -388,36 +364,6 @@ def sharpness_sequence(kind: str, K: int, L: int, H: float, d: int, g=None) -> P
     return PrescribedHessianSequence(hessians=hs, g=as_vector(g), smoothness=H)
 
 
-def spectral_norm(hvp, dim: int, iters: int = 50, tol: float = 1e-8, seed: int = 0) -> float:
-    """Largest |eigenvalue| of a symmetric map given only matvec access.
-
-    Power iteration on v -> hvp(v); 50 steps at tol 1e-8 by default.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    norm = 0.0
-    for _ in range(iters):
-        w = as_vector(hvp(v))
-        new_norm = float(np.linalg.norm(w))
-        if new_norm == 0.0:
-            return 0.0
-        v = w / new_norm
-        if abs(new_norm - norm) <= tol * max(1.0, new_norm):
-            return new_norm
-        norm = new_norm
-    return norm
-
-
-def estimate_smoothness(obj: TaskObjective, points, **kwargs) -> float:
-    """Max spectral norm of the Hessian over the given points.
-
-    Concrete stand-in for the gradient-Lipschitz constant when no analytic
-    value exists; uses power iteration through the objective's HVP.
-    """
-    return max(spectral_norm(lambda v, p=p: obj.hvp(p, v), obj.dim, **kwargs) for p in points)
-
-
 def random_spd(rng: np.random.Generator, d: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Random symmetric matrix with eigenvalues uniform on [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -429,9 +375,9 @@ def random_quadratic(rng: np.random.Generator, d: int, lo: float = 0.0, hi: floa
     return QuadraticTask(random_spd(rng, d, lo, hi), rng.standard_normal(d))
 
 
-def random_logistic(rng: np.random.Generator, d: int, n: int) -> LogisticTask:
-    x = rng.standard_normal((d, n))
-    w = rng.standard_normal(d)
+def random_logistic(rng: np.random.Generator, w: np.ndarray, n: int) -> LogisticTask:
+    """n inputs x ~ N(0, I), then labels drawn from sigmoid(x^T w) for true weights w."""
+    x = rng.standard_normal((len(w), n))
     probs = LogisticTask._sigmoid(x.T @ w)
     y = (rng.uniform(size=n) < probs).astype(float)
     return LogisticTask(x, y)

@@ -33,7 +33,7 @@ def prescribed_trajectory(rng, d=4, K=5, alpha=0.25, scale=1.0):
 
 def logistic_trajectory(rng, d=4, K=5, alpha=0.5):
     """Random logistic-regression task (analytic HVP) adapted for K steps; returns (traj, g)."""
-    task = random_logistic(rng, d, max(2 * d, 20))
+    task = random_logistic(rng, rng.standard_normal(d), max(2 * d, 20))
     traj = gd_adapt(task, rng.standard_normal(d), alpha, K)
     return traj, rng.standard_normal(d)
 

@@ -10,7 +10,6 @@ from metagrad import (
     random_quadratic,
     sample_sinusoid_batch,
     sharpness_sequence,
-    trajectory_csv,
     validation_gradient,
 )
 from metagrad.objectives import TaskObjective
@@ -36,7 +35,7 @@ class TestGdAdapt:
         traj = gd_adapt(task, [1.0, 1.0], alpha=0.5, K=2)
         assert np.allclose(traj.iterates[1], [0.5, 0.5], atol=0)
         assert np.allclose(traj.iterates[2], [0.25, 0.25], atol=0)
-        assert traj.K == 2 and len(traj.grads) == 2
+        assert traj.K == 2
 
     def test_alpha_must_be_positive(self):
         task = QuadraticTask(np.eye(2), np.zeros(2))
@@ -62,7 +61,6 @@ class TestGdAdapt:
             recomputed = traj.iterates[k] - traj.alpha * task.gradient(traj.iterates[k])
             err = np.linalg.norm(traj.iterates[k + 1] - recomputed)
             assert err <= 1e-12 * (1 + np.linalg.norm(traj.iterates[k]))
-            assert np.array_equal(traj.grads[k], task.gradient(traj.iterates[k]))
 
     def test_closed_form_oracle(self):
         rng = np.random.default_rng(6)
@@ -128,18 +126,3 @@ class TestPrescribedTrajectory:
         with pytest.raises(IndexError):
             traj.hvp(2, np.ones(1))
 
-
-class TestTrajectoryCsv:
-    def test_shape(self):
-        task = QuadraticTask(np.eye(2), np.array([0.5, -0.5]))
-        traj = gd_adapt(task, [1.0, 2.0], 0.1, 3)
-        lines = trajectory_csv(traj).strip().splitlines()
-        assert lines[0] == "step,phi_0,phi_1,grad_0,grad_1"
-        assert len(lines) == 1 + 4  # K+1 iterates
-        for k, line in enumerate(lines[1:]):
-            step, *cells = line.split(",")
-            values = np.array([float(c) for c in cells])
-            assert step == str(k)
-            assert np.array_equal(values[:2], traj.iterates[k])
-            grad = traj.grads[k] if k < traj.K else np.full(2, np.nan)
-            assert np.array_equal(values[2:], grad, equal_nan=True)

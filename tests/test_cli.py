@@ -173,6 +173,27 @@ class TestMetatrain:
         assert "unknown estimator kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["cost", "--d", "0"], "d"),
+        (["metatrain", "--iters", "0"], "iters"),
+        (["metatrain", "--d", "0", "--iters", "1"], "dim"),
+        (["error-sweep", "--d", "0", "--batches", "1"], "dim"),
+        (["metatrain", "--H", "-1", "--iters", "1"], "hmax"),
+        (["error-sweep", "--H", "-1", "--batches", "1"], "hmax"),
+    ],
+    ids=["cost-d0", "metatrain-iters0", "metatrain-d0", "error-sweep-d0", "metatrain-H-1", "error-sweep-H-1"],
+)
+def test_invalid_size_exits_one_naming_field(tmp_path, capsys, argv, field):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"metagrad: error: {field} must be")
+    assert "Traceback" not in err
+    assert not (out / "train.csv").exists()
+
+
 class TestCost:
     def test_counter_table(self, tmp_path):
         out = tmp_path / "run"

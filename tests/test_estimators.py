@@ -74,7 +74,6 @@ class TestFull:
         huge = np.array([[1e208]])
         traj = Trajectory(
             iterates=tuple(np.zeros(1) for _ in range(3)),
-            grads=tuple(np.zeros(1) for _ in range(2)),
             alpha=1e200,
             step_hessians=(huge, huge),
         )
@@ -182,7 +181,6 @@ class TestBinom:
         huge = np.array([[1e208]])
         traj = Trajectory(
             iterates=tuple(np.zeros(1) for _ in range(3)),
-            grads=tuple(np.zeros(1) for _ in range(2)),
             alpha=1e200,
             step_hessians=(huge, huge),
         )

@@ -159,6 +159,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="family"):
             MetaTrainConfig(family="images")
 
+    def test_size_fields_validated(self):
+        with pytest.raises(ValueError, match="dim"):
+            MetaTrainConfig(dim=0)
+        with pytest.raises(ValueError, match="hmax"):
+            MetaTrainConfig(hmax=-1.0)
+        # zero curvature and zero iterations stay valid
+        records, _ = run_metatrain(MetaTrainConfig(hmax=0.0, iterations=0))
+        assert records == []
+        assert len(run_metatrain(MetaTrainConfig(hmax=0.0, iterations=1, meta_batch=2))[0]) == 1
+
 
 class TestErrorExperiment:
     def test_l0_trunc_equals_binom(self):

@@ -6,15 +6,12 @@ from metagrad import (
     MlpObjective,
     PrescribedHessianSequence,
     QuadraticTask,
-    estimate_smoothness,
     hvp_finite_difference,
     mlp_init,
     random_logistic,
     random_quadratic,
     sample_sinusoid_batch,
     sharpness_sequence,
-    sinusoid_batch_csv,
-    spectral_norm,
 )
 
 
@@ -40,11 +37,6 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticTask([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
 
-    def test_smoothness_is_spectral_norm(self):
-        rng = np.random.default_rng(0)
-        task = random_quadratic(rng, 5)
-        assert task.smoothness == pytest.approx(np.linalg.norm(task.a, 2), rel=1e-12)
-
 
 class TestFiniteDifferenceHvp:
     def test_constant_hessian_closed_form(self):
@@ -63,7 +55,7 @@ class TestFiniteDifferenceHvp:
 
     def test_matches_analytic_logistic(self):
         rng = np.random.default_rng(5)
-        task = random_logistic(rng, 3, 20)
+        task = random_logistic(rng, rng.standard_normal(3), 20)
         phi = rng.standard_normal(3)
         v = rng.standard_normal(3)
         analytic = task.hvp(phi, v)
@@ -86,7 +78,7 @@ class TestHvpHessianConsistency:
             if maker == "quadratic":
                 task = random_quadratic(rng, 4, -1.0, 1.0)
             else:
-                task = random_logistic(rng, 4, 15)
+                task = random_logistic(rng, rng.standard_normal(4), 15)
             phi = rng.standard_normal(4)
             v = rng.standard_normal(4)
             h = task.full_hessian(phi)
@@ -98,7 +90,7 @@ def _objective_and_point(family, rng):
     if family == "quadratic":
         return random_quadratic(rng, 5, -1.0, 1.0), rng.standard_normal(5)
     if family == "logistic":
-        return random_logistic(rng, 5, 20), rng.standard_normal(5)
+        return random_logistic(rng, rng.standard_normal(5), 20), rng.standard_normal(5)
     x = rng.uniform(-5, 5, 10)
     obj = MlpObjective(x, rng.uniform(0.1, 5.0) * np.sin(x + rng.uniform(0, np.pi)))
     return obj, mlp_init(rng) + 0.1 * rng.standard_normal(obj.dim)
@@ -157,7 +149,7 @@ class TestGradientsMatchValues:
 
     def test_logistic(self):
         rng = np.random.default_rng(2)
-        task = random_logistic(rng, 4, 25)
+        task = random_logistic(rng, rng.standard_normal(4), 25)
         phi = rng.standard_normal(4)
         g = task.gradient(phi)
         fd = central_diff_gradient(task, phi)
@@ -183,15 +175,9 @@ class TestLogistic:
     def test_hessian_psd(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            task = random_logistic(rng, 5, 30)
+            task = random_logistic(rng, rng.standard_normal(5), 30)
             h = task.full_hessian(rng.standard_normal(5))
             assert np.linalg.eigvalsh(h).min() >= -1e-10
-
-    def test_smoothness_bound(self):
-        rng = np.random.default_rng(9)
-        task = random_logistic(rng, 5, 30)
-        h = task.full_hessian(rng.standard_normal(5))
-        assert np.linalg.norm(h, 2) <= task.smoothness + 1e-12
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
@@ -228,18 +214,6 @@ class TestSinusoidSampling:
         with pytest.raises(ValueError):
             sample_sinusoid_batch(0, 0, 3)
 
-    def test_csv_rows(self):
-        tasks = sample_sinusoid_batch(1, 2, 3)
-        lines = sinusoid_batch_csv(tasks).strip().splitlines()
-        assert lines[0] == "task_id,split,x,y"
-        assert len(lines) == 1 + 2 * 2 * 3
-        cells = [line.split(",") for line in lines[1:]]
-        for i, task in enumerate(tasks):
-            for split, xs, ys in (("train", task.x_train, task.y_train), ("val", task.x_val, task.y_val)):
-                rows = [c for c in cells if c[:2] == [str(i), split]]
-                assert [float(c[2]) for c in rows] == list(xs)
-                assert [float(c[3]) for c in rows] == list(ys)
-
 
 class TestSharpnessSequences:
     def test_all_negative(self):
@@ -260,20 +234,13 @@ class TestSharpnessSequences:
         with pytest.raises(ValueError, match="unknown"):
             sharpness_sequence("nope", K=2, L=0, H=1.0, d=1)
 
+    def test_empty_dimension_rejected(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            sharpness_sequence("theorem3-pos", K=2, L=0, H=1.0, d=0)
+
     def test_sequence_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
             PrescribedHessianSequence(hessians=(np.array([[0.0, 1.0], [0.0, 0.0]]),), g=np.ones(2))
         with pytest.raises(ValueError, match="smoothness"):
             PrescribedHessianSequence(hessians=(2.0 * np.eye(2),), g=np.ones(2), smoothness=1.0)
 
-
-class TestSmoothnessEstimate:
-    def test_power_iteration_matches_eigh(self):
-        rng = np.random.default_rng(21)
-        task = random_quadratic(rng, 6)
-        points = [rng.standard_normal(6) for _ in range(3)]
-        est = estimate_smoothness(task, points)
-        assert est == pytest.approx(task.smoothness, rel=1e-6)
-
-    def test_spectral_norm_zero_map(self):
-        assert spectral_norm(lambda v: 0.0 * v, 4) == 0.0
