@@ -24,8 +24,9 @@ class Trajectory:
     """A recorded K-step descent path for one task.
 
     ``iterates`` holds phi^0..phi^K. HVPs are replayed on demand through
-    :meth:`hvp`, either via the backing objective or via a prescribed per-step
-    Hessian sequence.
+    :meth:`hvp` (one product) or :meth:`hvp_stage` (one product per iterate of
+    a run of consecutive steps), either via the backing objective or via a
+    prescribed per-step Hessian sequence.
     """
 
     iterates: tuple
@@ -52,6 +53,15 @@ class Trajectory:
         if self.step_hessians is not None:
             return self.step_hessians[k] @ v
         return self.objective.hvp(self.iterates[k], v)
+
+    def hvp_stage(self, lo: int, vs):
+        """Hessian at iterate lo + j applied to vs[j], for every j, as one call."""
+        hi = lo + len(vs)
+        if not 0 <= lo <= hi <= self.K:
+            raise IndexError(f"step indices {lo}..{hi - 1} outside [0, {self.K})")
+        if self.step_hessians is not None:
+            return [h @ v for h, v in zip(self.step_hessians[lo:hi], vs)]
+        return self.objective.hvp_stack(self.iterates[lo:hi], vs)
 
     def step_hessian(self, k: int) -> np.ndarray:
         """Explicit Hessian at iterate k, when one is available."""

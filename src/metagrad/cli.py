@@ -52,7 +52,7 @@ SCHEMAS = {
     "error-sweep": {
         "family": ("str", "quadratic"),
         "K": ("int", 5),
-        "alpha": ("float", 0.25),
+        "alpha": ("float", None),  # None means the family default (see _finalize)
         "H": ("float", 1.0),
         "batches": ("int", 100),
         "batch": ("int", 10),
@@ -66,10 +66,10 @@ SCHEMAS = {
         "estimator": ("str", "full"),
         "L": ("int", 0),
         "C": ("int", -1),  # -1 means "use K"
-        "lambda": ("float", 1.0),
+        "lambda": ("float", None),  # None means the family default (see _finalize)
         "rescale_alpha": ("bool", False),
-        "alpha": ("float", 0.25),
-        "beta": ("float", 1e-3),
+        "alpha": ("float", None),
+        "beta": ("float", None),
         "K": ("int", 5),
         "H": ("float", 1.0),
         "batch": ("int", 10),
@@ -137,12 +137,23 @@ def _parse_config_file(path: str, schema) -> dict:
     return values
 
 
+# Protocol defaults of the keys left unset. The sine regressor's curvature is
+# about 1e2: a small inner step keeps alpha*H below 1, a large lambda keeps
+# I + H/lambda positive definite for CG.
+FAMILY_DEFAULTS = {
+    "sinusoid": {"iters": 10_000, "alpha": 1e-3, "beta": 2e-3, "lambda": 100.0},
+    "other": {"iters": 1000, "alpha": 0.25, "beta": 1e-3, "lambda": 1.0},
+}
+
+
 def _finalize(command: str, cfg: dict):
     if command == "metatrain" and cfg["iters"] == 0:
         raise ValueError("iters must be >= 1, or negative for the family default")
     if command == "metatrain" and cfg["iters"] < 0:
-        # sine-regression runs default to the long desk-scale protocol
-        cfg["iters"] = 10_000 if cfg["family"] == "sinusoid" else 1000
+        cfg["iters"] = None
+    defaults = FAMILY_DEFAULTS["sinusoid" if cfg.get("family") == "sinusoid" else "other"]
+    for key in [key for key, value in cfg.items() if value is None]:
+        cfg[key] = defaults[key]
 
 
 def resolve_config(args) -> dict:

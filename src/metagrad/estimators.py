@@ -28,9 +28,11 @@ deliberately unoptimized ground truth the cascade is tested against.
 
 Every estimator is a pure function of (trajectory, g, parameters), so
 invocations are safe to run concurrently across tasks. Within a binom stage
-the HVPs are independent work items; the stage barrier and the fixed
-descending-index summation order are the only synchronization contract, so a
-parallel schedule must reproduce the sequential result bit for bit.
+the HVPs are independent, so each stage runs as one stacked call
+(``Trajectory.hvp_stage``, which the objective's ``hvp_stack`` serves), and
+each column of it equals the single-vector HVP bit for bit. The stage barrier
+and the fixed descending-index summation order are the only synchronization
+contract, so the result equals the one-HVP-at-a-time schedule bit for bit.
 """
 
 import itertools
@@ -169,8 +171,8 @@ def _effective_alpha(traj: Trajectory, L: int, rescale_alpha: bool) -> float:
     return traj.alpha * L / traj.K if rescale_alpha else traj.alpha
 
 
-def _cascade(hvp, K: int, L: int, alpha: float, g: np.ndarray):
-    """Run the L-stage expansion cascade; returns the order-L estimate.
+def _cascade(hvp_stage, K: int, L: int, alpha: float, g: np.ndarray, cutoff: int = 0):
+    """Run the L-stage expansion cascade; returns (estimate, hvps, depth).
 
     Writing w[l, k] for the order-l expansion restricted to index tuples with
     smallest entry >= k, the recursion is
@@ -179,32 +181,46 @@ def _cascade(hvp, K: int, L: int, alpha: float, g: np.ndarray):
 
     and the estimate is w[L, 0]. Stage l (l = 1..L) holds the window
     w[l, L-l..K-l]: its K-L+1 HVPs touch iterates L-l..K-l and depend only on
-    stage l-1, so they are mutually independent; the running sums then fill
-    the window in descending k. A NaN/Inf anywhere in the window reaches
-    w[l, L-l] through the running sum, so that one entry is checked per stage.
+    stage l-1, so they are mutually independent and go to
+    ``hvp_stage(lo, vs)`` as one call, which applies the Hessian at iterate
+    lo + j to vs[j]. The running sums then fill the window in descending k. A
+    NaN/Inf anywhere in the window reaches w[l, L-l] through the running sum,
+    so that one entry is checked per stage.
+
+    The curvature at iterates below ``cutoff`` is taken as zero: those
+    columns are not sent and leave the running sum unchanged. The costs are
+    counted here, from the calls made: ``hvps`` is the number of columns sent
+    to ``hvp_stage``, ``depth`` the number of stage calls.
     """
     width = K - L + 1
     v = [g] * width
+    hvps = depth = 0
     for stage in range(L):
         lo = L - 1 - stage
-        u = [hvp(lo + j, v[j]) for j in range(width)]
+        first = min(max(cutoff - lo, 0), width)  # columns below it are masked
+        if first < width:
+            u = hvp_stage(lo + first, v[first:])
+            hvps += width - first
+            depth += 1
         nxt = [None] * width
-        nxt[width - 1] = v[width - 1] - alpha * u[width - 1]
-        for j in range(width - 2, -1, -1):
-            nxt[j] = nxt[j + 1] - alpha * u[j]
+        run = v[width - 1]
+        for j in range(width - 1, -1, -1):
+            if j >= first:
+                run = run - alpha * u[j - first]
+            nxt[j] = run
         if not np.all(np.isfinite(nxt[0])):
             bad = next(j for j in range(width - 1, -1, -1) if not np.all(np.isfinite(nxt[j])))
             raise DivergenceError(f"NaN/Inf at cascade stage {stage}, index {bad}")
         v = nxt
-    return v[0]
+    return v[0], hvps, depth
 
 
 def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> MetaGradient:
     """Order-L binomial-expansion estimate via the stage cascade.
 
     L = 0 returns g (coincides with the first-order estimate); L = K is the
-    exact product. Costs L*(K-L+1) HVPs at sequential depth L with K-L+1
-    vectors live.
+    exact product. The counted cost is L*(K-L+1) HVPs in L stage calls
+    (sequential depth L), with K-L+1 vectors live.
     """
     K = traj.K
     _check_L(L, K)
@@ -212,8 +228,8 @@ def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False
     if L == 0:
         return MetaGradient(g, "binom", 0, CostCounters(0, 0, 0))
     alpha = _effective_alpha(traj, L, rescale_alpha)
-    estimate = _cascade(traj.hvp, K, L, alpha, g)
-    return MetaGradient(estimate, "binom", L, CostCounters(L * (K - L + 1), L, K - L + 1))
+    estimate, hvps, depth = _cascade(traj.hvp_stage, K, L, alpha, g)
+    return MetaGradient(estimate, "binom", L, CostCounters(hvps, depth, K - L + 1))
 
 
 ORACLE_MAX_K = 14
@@ -260,19 +276,8 @@ def binomtrunc_meta_gradient(
     if L == 0:
         return MetaGradient(g, "binom-trunc", 0, CostCounters(0, 0, 0))
     alpha = _effective_alpha(traj, L, rescale_alpha)
-    cutoff = K - C
-    zero = np.zeros_like(g)
-    calls = 0
-
-    def masked_hvp(k, v):
-        nonlocal calls
-        if k < cutoff:
-            return zero
-        calls += 1
-        return traj.hvp(k, v)
-
-    estimate = _cascade(masked_hvp, K, L, alpha, g)
-    return MetaGradient(estimate, "binom-trunc", L, CostCounters(calls, min(L, calls), K - L + 1))
+    estimate, hvps, depth = _cascade(traj.hvp_stage, K, L, alpha, g, cutoff=K - C)
+    return MetaGradient(estimate, "binom-trunc", L, CostCounters(hvps, depth, K - L + 1))
 
 
 def imaml_meta_gradient(

@@ -55,8 +55,11 @@ class TaskObjective(abc.ABC):
     """Contract for a smooth loss: value, gradient, HVP at any point.
 
     ``hvp`` defaults to :func:`hvp_finite_difference`; families with an
-    analytic product override it. ``full_hessian`` is optional and only
-    available for families with an explicit Hessian.
+    analytic product override it. ``hvp_stack(phis, vs)`` returns one product
+    per (iterate, vector) pair, row j being ``hvp(phis[j], vs[j])``; its
+    default is a plain loop over ``hvp`` (no stacking, no copies), and a family
+    whose products batch well overrides it. ``full_hessian`` is optional and
+    only available for families with an explicit Hessian.
     """
 
     dim: int
@@ -69,6 +72,9 @@ class TaskObjective(abc.ABC):
 
     def hvp(self, phi, v) -> np.ndarray:
         return hvp_finite_difference(self, phi, v)
+
+    def hvp_stack(self, phis, vs):
+        return [self.hvp(p, v) for p, v in zip(phis, vs)]
 
     def full_hessian(self, phi) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no explicit Hessian")
@@ -164,7 +170,9 @@ def mlp_dim() -> int:
 
 
 def _unpack(theta: np.ndarray):
-    return {name: theta[start:stop].reshape(shape) for name, start, stop, shape in _MLP_SLICES}
+    """Views of the six blocks; leading axes of theta (a stack of vectors) are kept."""
+    lead = theta.shape[:-1]
+    return {name: theta[..., start:stop].reshape(lead + shape) for name, start, stop, shape in _MLP_SLICES}
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -191,6 +199,10 @@ class MlpObjective(TaskObjective):
     Gradients are exact (hand backprop). HVPs are exact too: Pearlmutter's
     R-op (forward-over-reverse), which differentiates the backprop pass along
     the direction v, at about the cost of two gradients and with no step size.
+    There is one R-op, batched: ``hvp_stack`` runs it once on B x d stacks of
+    iterates and directions, every array carrying a leading batch axis, and
+    ``hvp`` runs it on one pair without that axis. Each row of a stack equals
+    the single-pair product bit for bit.
     """
 
     def __init__(self, x, y):
@@ -201,20 +213,21 @@ class MlpObjective(TaskObjective):
         self.dim = mlp_dim()
 
     def _forward(self, theta):
-        p = _unpack(as_vector(theta))
-        a1 = p["w1"][:, None] * self.x + p["b1"][:, None]
+        # theta is one parameter vector or a B x d stack; activations are h x n or B x h x n
+        p = _unpack(theta)
+        a1 = p["w1"][..., None] * self.x + p["b1"][..., None]
         h1 = np.tanh(a1)
-        a2 = p["w2"] @ h1 + p["b2"][:, None]
+        a2 = p["w2"] @ h1 + p["b2"][..., None]
         h2 = np.tanh(a2)
-        yhat = h2.T @ p["w3"] + p["b3"][0]
+        yhat = (p["w3"][..., None, :] @ h2)[..., 0, :] + p["b3"]
         return p, h1, h2, yhat
 
     def value(self, theta) -> float:
-        _, _, _, yhat = self._forward(theta)
+        _, _, _, yhat = self._forward(as_vector(theta))
         return float(np.mean((yhat - self.y) ** 2))
 
     def gradient(self, theta) -> np.ndarray:
-        p, h1, h2, yhat = self._forward(theta)
+        p, h1, h2, yhat = self._forward(as_vector(theta))
         n = self.x.shape[0]
         dy = 2.0 * (yhat - self.y) / n
         dw3 = h2 @ dy
@@ -228,25 +241,35 @@ class MlpObjective(TaskObjective):
         return np.concatenate([dw1, db1, dw2.ravel(), db2, dw3, db3])
 
     def hvp(self, theta, v) -> np.ndarray:
+        return self._r_op(as_vector(theta), as_vector(v))
+
+    def hvp_stack(self, phis, vs) -> np.ndarray:
+        return self._r_op(as_matrix(phis), as_matrix(vs))
+
+    def _r_op(self, theta, v):
+        # theta and v are one vector each, or B x d stacks of matching rows
         p, h1, h2, yhat = self._forward(theta)
-        q = _unpack(as_vector(v))
+        q = _unpack(v)
         n = self.x.shape[0]
-        dy = 2.0 * (yhat - self.y) / n
+        dy = (2.0 * (yhat - self.y) / n)[..., None, :]
         s1 = 1.0 - h1 * h1
         s2 = 1.0 - h2 * h2
+        w2t = p["w2"].swapaxes(-1, -2)
         # R-forward: directional derivatives of the activations and the residual
-        rh1 = s1 * (q["w1"][:, None] * self.x + q["b1"][:, None])
-        rh2 = s2 * (q["w2"] @ h1 + p["w2"] @ rh1 + q["b2"][:, None])
-        rdy = (rh2.T @ p["w3"] + h2.T @ q["w3"] + q["b3"]) * (2.0 / n)
+        rh1 = s1 * (q["w1"][..., None] * self.x + q["b1"][..., None])
+        rh2 = s2 * (q["w2"] @ h1 + p["w2"] @ rh1 + q["b2"][..., None])
+        rdy = (p["w3"][..., None, :] @ rh2 + q["w3"][..., None, :] @ h2 + q["b3"][..., None]) * (2.0 / n)
         # R-backward: each line of gradient() differentiated, with R(1 - h^2) = -2 h Rh
-        g2 = p["w3"][:, None] * dy
+        g2 = p["w3"][..., None] * dy
         da2 = g2 * s2
-        rda2 = (q["w3"][:, None] * dy + p["w3"][:, None] * rdy) * s2 - 2.0 * g2 * h2 * rh2
-        g1 = p["w2"].T @ da2
-        rda1 = (q["w2"].T @ da2 + p["w2"].T @ rda2) * s1 - 2.0 * g1 * h1 * rh1
-        rdw2 = rda2 @ h1.T + da2 @ rh1.T
-        rdw3 = rh2 @ dy + h2 @ rdy
-        return np.concatenate([rda1 @ self.x, rda1.sum(axis=1), rdw2.ravel(), rda2.sum(axis=1), rdw3, [rdy.sum()]])
+        rda2 = (q["w3"][..., None] * dy + p["w3"][..., None] * rdy) * s2 - 2.0 * g2 * h2 * rh2
+        g1 = w2t @ da2
+        rda1 = (q["w2"].swapaxes(-1, -2) @ da2 + w2t @ rda2) * s1 - 2.0 * g1 * h1 * rh1
+        rdw2 = rda2 @ h1.swapaxes(-1, -2) + da2 @ rh1.swapaxes(-1, -2)
+        rdw3 = rh2 @ dy.swapaxes(-1, -2) + h2 @ rdy.swapaxes(-1, -2)
+        blocks = [rda1 @ self.x, rda1.sum(axis=-1), rdw2.reshape(theta.shape[:-1] + (-1,)),
+                  rda2.sum(axis=-1), rdw3[..., 0], rdy.sum(axis=-1)]
+        return np.concatenate(blocks, axis=-1)
 
 
 @dataclass(frozen=True)

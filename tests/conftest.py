@@ -66,7 +66,11 @@ def binom_expansion_matrix(traj, L):
     if L == 0:
         return np.eye(traj.dim)
     hessians = [traj.step_hessian(k) for k in range(traj.K)]
-    return _cascade(lambda k, m: hessians[k] @ m, traj.K, L, traj.alpha, np.eye(traj.dim))
+
+    def stage(lo, ms):
+        return [hessians[lo + j] @ m for j, m in enumerate(ms)]
+
+    return _cascade(stage, traj.K, L, traj.alpha, np.eye(traj.dim))[0]
 
 
 def strict_lower_ones(n: int) -> np.ndarray:

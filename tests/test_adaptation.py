@@ -126,3 +126,15 @@ class TestPrescribedTrajectory:
         with pytest.raises(IndexError):
             traj.hvp(2, np.ones(1))
 
+    def test_stage_applies_step_hessians_in_order(self):
+        seq = sharpness_sequence("theorem3-trunc", K=4, L=2, H=3.0, d=2)
+        traj = from_hessian_sequence(seq, alpha=0.1)
+        vs = [np.array([1.0, 2.0]), np.array([-1.0, 0.5]), np.array([4.0, 4.0])]
+        rows = traj.hvp_stage(1, vs)
+        assert [r.tolist() for r in rows] == [[3.0, 6.0], [0.0, 0.0], [0.0, 0.0]]
+        for k, (v, row) in enumerate(zip(vs, rows), start=1):
+            assert np.array_equal(row, traj.hvp(k, v))
+        with pytest.raises(IndexError):
+            traj.hvp_stage(2, vs)
+        with pytest.raises(IndexError):
+            traj.hvp_stage(-1, vs[:1])

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -205,6 +206,58 @@ class TestCost:
         assert (rows[("full", "5")]["hvp_total"], rows[("full", "5")]["sequential_depth"]) == ("5", "5")
         assert rows[("full", "5")]["peak_live_vectors"] == "1"
         assert [rows[("binom", "0")][c] for c in ("hvp_total", "sequential_depth", "peak_live_vectors")] == ["0", "0", "0"]
+
+
+def resolved(out):
+    lines = (out / "resolved_config.txt").read_text().splitlines()
+    return dict(line.split("=", 1) for line in lines)
+
+
+class TestFamilyDefaults:
+    def test_sine_metatrain_defaults_stay_finite(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["metatrain", "--family", "sinusoid", "--estimator", "fo", "--iters", "3",
+                     "--out", str(out)]) == 0
+        cfg = resolved(out)
+        assert (cfg["alpha"], cfg["beta"], cfg["lambda"]) == ("0.001", "0.002", "100.0")
+        losses = [float(r["meta_loss"]) for r in read_csv(out / "train.csv")]
+        assert len(losses) == 3 and all(math.isfinite(x) and x < 1e3 for x in losses)
+
+    def test_sine_error_sweep_default_alpha(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["error-sweep", "--family", "sinusoid", "--batches", "1", "--batch", "2",
+                     "--K", "3", "--out", str(out)]) == 0
+        assert resolved(out)["alpha"] == "0.001"
+        for r in read_csv(out / "errors_averaged.csv"):
+            assert all(math.isfinite(float(r[c])) and float(r[c]) < 1e3 for c in ("err_fo", "err_tr", "err_bin"))
+
+    def test_explicit_values_win_on_sine(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("beta=0.01\n")
+        out = tmp_path / "run"
+        assert main(["metatrain", "--family", "sinusoid", "--estimator", "fo", "--iters", "2",
+                     "--alpha", "0.25", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg = resolved(out)
+        assert (cfg["alpha"], cfg["beta"], cfg["lambda"]) == ("0.25", "0.01", "100.0")
+        # alpha 0.25 is outside the family's step-size regime: the run diverges without Inf
+        assert float(read_csv(out / "train.csv")[0]["meta_loss"]) > 1e6
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
+    def test_other_families_keep_shared_defaults(self, tmp_path, family):
+        runs = {
+            "default": ["metatrain", "--family", family, "--estimator", "imaml", "--iters", "3"],
+            "explicit": ["metatrain", "--family", family, "--estimator", "imaml", "--iters", "3",
+                         "--alpha", "0.25", "--beta", "0.001", "--lambda", "1.0"],
+            "sweep-default": ["error-sweep", "--family", family, "--batches", "2"],
+            "sweep-explicit": ["error-sweep", "--family", family, "--batches", "2", "--alpha", "0.25"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        for default, explicit in (("default", "explicit"), ("sweep-default", "sweep-explicit")):
+            files = sorted(f.name for f in (tmp_path / default).iterdir())
+            assert files == sorted(f.name for f in (tmp_path / explicit).iterdir())
+            for name in files:
+                assert (tmp_path / default / name).read_bytes() == (tmp_path / explicit / name).read_bytes()
 
 
 class TestConfigHandling:

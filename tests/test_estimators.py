@@ -17,6 +17,7 @@ from metagrad import (
     CostCounters,
     DivergenceError,
     EstimatorConfig,
+    MlpObjective,
     QuadraticTask,
     Trajectory,
     backprop_products,
@@ -164,6 +165,20 @@ class TestBinom:
         assert binom_meta_gradient(traj, g, 2).cost == CostCounters(8, 2, 4)
         assert binom_meta_gradient(traj, g, 0).cost == CostCounters(0, 0, 0)
 
+    def test_one_stacked_call_per_stage(self, monkeypatch):
+        widths = []
+        stack = MlpObjective.hvp_stack
+
+        def counting(self, phis, vs):
+            widths.append(len(vs))
+            return stack(self, phis, vs)
+
+        monkeypatch.setattr(MlpObjective, "hvp_stack", counting)
+        traj, g = sine_trajectory(np.random.default_rng(13), K=5)
+        mg = binom_meta_gradient(traj, g, 2)
+        assert widths == [4, 4]
+        assert mg.cost == CostCounters(8, 2, 4)
+
     def test_rescale_alpha(self):
         rng = np.random.default_rng(12)
         traj, g = quadratic_trajectory(rng, K=4)
@@ -282,6 +297,28 @@ class TestBinomTrunc:
             binomtrunc_meta_gradient(traj, g, 3, 2)  # C < L
         with pytest.raises(ValueError):
             binomtrunc_meta_gradient(traj, g, 1, 5)  # C > K
+
+    def test_counted_costs_equal_formula(self, monkeypatch):
+        # stage s sends the columns at iterates max(L-1-s, K-C)..K-1-s, i.e. min(K-L+1, C-s)
+        sent = []
+        stage = Trajectory.hvp_stage
+
+        def counting(self, lo, vs):
+            sent.append(len(vs))
+            return stage(self, lo, vs)
+
+        monkeypatch.setattr(Trajectory, "hvp_stage", counting)
+        rng = np.random.default_rng(35)
+        for K in range(1, 7):
+            traj, g = prescribed_trajectory(rng, d=2, K=K)
+            for L in range(K + 1):
+                for C in range(L, K + 1):
+                    sent.clear()
+                    cost = binomtrunc_meta_gradient(traj, g, L, C).cost
+                    hvps = sum(min(K - L + 1, C - s) for s in range(L))
+                    expected = (0, 0, 0) if L == 0 else (hvps, L, K - L + 1)
+                    assert (cost.hvp_total, cost.sequential_depth, cost.peak_live_vectors) == expected
+                    assert (sum(sent), len(sent)) == (cost.hvp_total, cost.sequential_depth)
 
     def test_masked_hvps_not_charged(self):
         rng = np.random.default_rng(24)

@@ -128,6 +128,21 @@ class TestHvpContract:
         obj, phi = _objective_and_point(family, rng)
         assert np.array_equal(obj.hvp(phi, np.zeros(obj.dim)), np.zeros(obj.dim))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stack_rows_equal_hvp(self, family):
+        # one stacked call per cascade stage must not change a single bit of any product
+        rng = np.random.default_rng(35)
+        for B in range(1, 7):
+            obj, _ = _objective_and_point(family, rng)
+            phis = [_objective_and_point(family, rng)[1] for _ in range(B)]
+            vs = list(rng.standard_normal((B, obj.dim)))
+            vs[B // 2] = np.zeros(obj.dim)
+            rows = obj.hvp_stack(phis, vs)
+            assert len(rows) == B
+            for phi, v, row in zip(phis, vs, rows):
+                assert np.array_equal(row, obj.hvp(phi, v))
+            assert np.array_equal(rows[B // 2], np.zeros(obj.dim))
+
     def test_mlp_matches_finite_difference(self):
         rng = np.random.default_rng(34)
         for _ in range(4):
