@@ -14,8 +14,7 @@ for HVP count in different ways:
 * ``binom`` -- expands the product into sums over strictly increasing index
   tuples and keeps every term of order <= L in alpha. Computed as L cascade
   stages of K-L+1 mutually independent HVPs each (see ``_cascade``).
-* ``binom-trunc`` -- the expansion restricted to the last C steps (curvature
-  before step K-C is zeroed).
+* ``binom-trunc`` -- the expansion restricted to the last C steps.
 * ``imaml`` -- solves (I + H/lambda) x = g at the final iterate by CG.
 * ``reptile`` -- moves toward the mean adapted parameter; no HVPs at all.
 
@@ -167,12 +166,12 @@ def trunc_meta_gradient(traj: Trajectory, g, L: int) -> MetaGradient:
 
 
 def _effective_alpha(traj: Trajectory, L: int, rescale_alpha: bool) -> float:
-    # optional stability rescaling inside the expansion: alpha' = L * alpha / K
-    return traj.alpha * L / traj.K if rescale_alpha else traj.alpha
+    # optional stability rescaling alpha' = L * alpha / K (none at L = 0, where K may be 0)
+    return traj.alpha * L / traj.K if rescale_alpha and L else traj.alpha
 
 
-def _cascade(hvp_stage, K: int, L: int, alpha: float, g: np.ndarray, cutoff: int = 0):
-    """Run the L-stage expansion cascade; returns (estimate, hvps, depth).
+def _cascade(hvp_stage, K: int, L: int, alpha: float, g: np.ndarray):
+    """Run the L-stage expansion cascade; returns (estimate, CostCounters).
 
     Writing w[l, k] for the order-l expansion restricted to index tuples with
     smallest entry >= k, the recursion is
@@ -185,34 +184,37 @@ def _cascade(hvp_stage, K: int, L: int, alpha: float, g: np.ndarray, cutoff: int
     ``hvp_stage(lo, vs)`` as one call, which applies the Hessian at iterate
     lo + j to vs[j]. The running sums then fill the window in descending k. A
     NaN/Inf anywhere in the window reaches w[l, L-l] through the running sum,
-    so that one entry is checked per stage.
-
-    The curvature at iterates below ``cutoff`` is taken as zero: those
-    columns are not sent and leave the running sum unchanged. The costs are
-    counted here, from the calls made: ``hvps`` is the number of columns sent
-    to ``hvp_stage``, ``depth`` the number of stage calls.
+    so that one entry is checked per stage. The costs are counted from the
+    calls made: the vectors sent, the calls, and the widest window sent.
     """
     width = K - L + 1
     v = [g] * width
-    hvps = depth = 0
+    sent = []
     for stage in range(L):
-        lo = L - 1 - stage
-        first = min(max(cutoff - lo, 0), width)  # columns below it are masked
-        if first < width:
-            u = hvp_stage(lo + first, v[first:])
-            hvps += width - first
-            depth += 1
+        u = hvp_stage(L - 1 - stage, v)
+        sent.append(len(v))
         nxt = [None] * width
         run = v[width - 1]
         for j in range(width - 1, -1, -1):
-            if j >= first:
-                run = run - alpha * u[j - first]
+            run = run - alpha * u[j]
             nxt[j] = run
         if not np.all(np.isfinite(nxt[0])):
             bad = next(j for j in range(width - 1, -1, -1) if not np.all(np.isfinite(nxt[j])))
             raise DivergenceError(f"NaN/Inf at cascade stage {stage}, index {bad}")
         v = nxt
-    return v[0], hvps, depth
+    return v[0], CostCounters(sum(sent), len(sent), max(sent, default=0))
+
+
+def _binom_last(traj: Trajectory, g, L: int, C: int, rescale_alpha: bool, kind: str) -> MetaGradient:
+    """The order-L expansion over the last C steps: the cascade on iterates K-C..K-1."""
+    K = traj.K
+    _check_L(L, K)
+    if not L <= C <= K:
+        raise ValueError(f"need L <= C <= K, got L={L}, C={C}, K={K}")
+    alpha = _effective_alpha(traj, L, rescale_alpha)
+    g = np.asarray(g, dtype=float)
+    estimate, cost = _cascade(lambda lo, vs: traj.hvp_stage(K - C + lo, vs), C, L, alpha, g)
+    return MetaGradient(estimate, kind, L, cost)
 
 
 def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> MetaGradient:
@@ -222,14 +224,7 @@ def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False
     exact product. The counted cost is L*(K-L+1) HVPs in L stage calls
     (sequential depth L), with K-L+1 vectors live.
     """
-    K = traj.K
-    _check_L(L, K)
-    g = np.asarray(g, dtype=float)
-    if L == 0:
-        return MetaGradient(g, "binom", 0, CostCounters(0, 0, 0))
-    alpha = _effective_alpha(traj, L, rescale_alpha)
-    estimate, hvps, depth = _cascade(traj.hvp_stage, K, L, alpha, g)
-    return MetaGradient(estimate, "binom", L, CostCounters(hvps, depth, K - L + 1))
+    return _binom_last(traj, g, L, traj.K, rescale_alpha, "binom")
 
 
 ORACLE_MAX_K = 14
@@ -264,20 +259,12 @@ def binomtrunc_meta_gradient(
 ) -> MetaGradient:
     """Hybrid estimate: the order-L expansion over the last C steps only.
 
-    Runs the cascade with the HVP at iterate k forced to zero for k < K-C
-    (zeroed HVPs are not evaluated and not charged). C = K recovers the plain
-    expansion estimate; L = C = K recovers the exact product.
+    Runs the cascade on iterates K-C..K-1 alone, at a counted cost of
+    L*(C-L+1) HVPs in L stage calls. C = L gives the truncated estimate
+    (``trunc``), C = K the plain expansion (``binom``); the alpha rescaling,
+    when on, still uses the full K.
     """
-    K = traj.K
-    _check_L(L, K)
-    if not L <= C <= K:
-        raise ValueError(f"need L <= C <= K, got L={L}, C={C}, K={K}")
-    g = np.asarray(g, dtype=float)
-    if L == 0:
-        return MetaGradient(g, "binom-trunc", 0, CostCounters(0, 0, 0))
-    alpha = _effective_alpha(traj, L, rescale_alpha)
-    estimate, hvps, depth = _cascade(traj.hvp_stage, K, L, alpha, g, cutoff=K - C)
-    return MetaGradient(estimate, "binom-trunc", L, CostCounters(hvps, depth, K - L + 1))
+    return _binom_last(traj, g, L, C, rescale_alpha, "binom-trunc")
 
 
 def imaml_meta_gradient(

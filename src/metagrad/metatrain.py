@@ -11,6 +11,7 @@ records are bitwise-reproducible given (seed, config).
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
@@ -27,6 +28,7 @@ from .estimators import (
     estimation_error,
     reptile_direction,
 )
+from .linalg import CGBreakdownError
 from .objectives import (
     TaskObjective,
     mlp_init,
@@ -138,6 +140,15 @@ def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alph
     ]
 
 
+@contextmanager
+def _failure_prefix(where: str):
+    """Re-raise a numerical failure in the block as its own type, prefixed with ``where``."""
+    try:
+        yield
+    except (DivergenceError, CGBreakdownError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig):
     """One outer update over a task batch; returns (theta', TrainRecordRow).
 
@@ -145,29 +156,32 @@ def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig
     """
     if not tasks:
         raise ValueError("task batch must be non-empty")
-    trajectories = [gd_adapt(pair.train, theta, cfg.alpha, cfg.K) for pair in tasks]
-    grads = [validation_gradient(pair.val, traj) for pair, traj in zip(tasks, trajectories)]
+    # adapt every task before estimating any: per-task interleaving ran sine binom steps ~5% slower
+    trajectories, grads, mgs, errs = [], [], [], []
+    for t, pair in enumerate(tasks):
+        with _failure_prefix(f"task {t}"):
+            trajectories.append(gd_adapt(pair.train, theta, cfg.alpha, cfg.K))
+            grads.append(validation_gradient(pair.val, trajectories[-1]))
     meta_loss = float(np.mean([pair.val.value(traj.final) for pair, traj in zip(tasks, trajectories)]))
+    for t, (traj, g) in enumerate(zip(trajectories, grads)):
+        with _failure_prefix(f"task {t}"):
+            if cfg.estimator.kind != "reptile":
+                mgs.append(estimate(traj, g, cfg.estimator))
+            if cfg.track_errors:
+                errs.append(_estimator_errors(traj, g, [cfg.estimator.L], cfg.estimator.rescale_alpha)[0])
+    hvp_total = sum(mg.cost.hvp_total for mg in mgs)
 
-    hvp_total = 0
     if cfg.estimator.kind == "reptile":
         direction = reptile_direction(theta, [traj.final for traj in trajectories])
         theta_next = theta + cfg.estimator.reptile_eps * direction
         grad_norm = float(np.linalg.norm(direction))
     else:
-        estimates = []
-        for traj, g in zip(trajectories, grads):
-            mg = estimate(traj, g, cfg.estimator)
-            hvp_total += mg.cost.hvp_total
-            estimates.append(mg.estimate)
-        mean_estimate = sum(estimates) / len(estimates)
+        mean_estimate = sum(mg.estimate for mg in mgs) / len(mgs)
         theta_next = theta - cfg.beta * mean_estimate
         grad_norm = float(np.linalg.norm(mean_estimate))
 
     err_fo = err_tr = err_bin = math.nan
-    if cfg.track_errors:
-        errs = [_estimator_errors(t, g, [cfg.estimator.L], cfg.estimator.rescale_alpha)[0]
-                for t, g in zip(trajectories, grads)]
+    if errs:
         err_fo, err_tr, err_bin = (float(np.mean(column)) for column in zip(*errs))
 
     row = TrainRecordRow(0, meta_loss, grad_norm, err_fo, err_tr, err_bin, hvp_total)
@@ -184,10 +198,8 @@ def run_metatrain(cfg: MetaTrainConfig):
     records = []
     for i in range(cfg.iterations):
         tasks = sample_task_batch(cfg, task_rng) if cfg.resample else fixed_batch
-        try:
+        with _failure_prefix(f"meta-iteration {i}"):
             theta, row = meta_step(theta, tasks, cfg)
-        except DivergenceError as exc:
-            raise DivergenceError(f"meta-iteration {i}: {exc}") from exc
         records.append(replace(row, iteration=i))
     return records, theta
 
@@ -226,10 +238,11 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
     sums = [np.zeros(3) for _ in l_values]  # by position, so a repeated L is not summed twice
     for b in range(batches):
         errs = []  # per task, one (e_fo, e_tr, e_bin) per L
-        for pair in sample_task_batch(cfg, task_rng):
-            traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
-            g = validation_gradient(pair.val, traj)
-            errs.append(_estimator_errors(traj, g, l_values, cfg.estimator.rescale_alpha))
+        for t, pair in enumerate(sample_task_batch(cfg, task_rng)):
+            with _failure_prefix(f"batch {b}, task {t}"):
+                traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
+                g = validation_gradient(pair.val, traj)
+                errs.append(_estimator_errors(traj, g, l_values, cfg.estimator.rescale_alpha))
         for L, per_task, total in zip(l_values, zip(*errs), sums):
             mean = np.mean(np.array(per_task), axis=0)
             total += mean

@@ -63,8 +63,6 @@ def dense_product(traj, L=None):
 def binom_expansion_matrix(traj, L):
     """The order-L expansion as an explicit d x d matrix: the estimators' cascade
     run on matrices seeded with the identity."""
-    if L == 0:
-        return np.eye(traj.dim)
     hessians = [traj.step_hessian(k) for k in range(traj.K)]
 
     def stage(lo, ms):

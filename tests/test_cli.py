@@ -155,7 +155,16 @@ class TestMetatrain:
             "--iters", "1", "--out", str(tmp_path / "x"),
         ]
         assert main(args) == 2
-        assert "diverge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverge" in err and "task 0" in err
+
+    @pytest.mark.parametrize("C, same", [("2", ["--estimator", "trunc"]), ("5", ["--estimator", "binom"])])
+    def test_binom_trunc_window_ends_are_trunc_and_binom(self, tmp_path, C, same):
+        # at L = 2, K = 5 the hybrid with C = L is trunc and with C = K is binom, costs included
+        common = ["metatrain", "--L", "2", "--K", "5", "--iters", "5"]
+        assert main([*common, "--estimator", "binom-trunc", "--C", C, "--out", str(tmp_path / "a")]) == 0
+        assert main([*common, *same, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "train.csv").read_bytes() == (tmp_path / "b" / "train.csv").read_bytes()
 
     def test_imaml_and_reptile_run(self, tmp_path):
         for est, extra in (("imaml", ["--lambda", "2.0"]), ("reptile", ["--eps", "0.5"])):

@@ -131,6 +131,12 @@ class TestBinom:
         traj, g = quadratic_trajectory(rng)
         assert np.array_equal(binom_meta_gradient(traj, g, 0).estimate, g)
 
+    def test_l0_at_k0_with_rescale_returns_g(self):
+        traj = from_hessian_sequence(sharpness_sequence("theorem3-pos", 0, 0, 0.5, 2), 0.25)
+        g = np.array([1.0, -2.0])
+        for mg in (binom_meta_gradient(traj, g, 0, True), binomtrunc_meta_gradient(traj, g, 0, 0, True)):
+            assert np.array_equal(mg.estimate, g) and mg.cost == CostCounters(0, 0, 0)
+
     def test_lK_equals_full_product(self):
         rng = np.random.default_rng(9)
         traj, g = prescribed_trajectory(rng, K=5)
@@ -286,9 +292,10 @@ class TestBinomTrunc:
         rng = np.random.default_rng(34)
         traj, g = prescribed_trajectory(rng, d=3, K=6)
         for L in range(7):
-            a = binomtrunc_meta_gradient(traj, g, L, L).estimate
-            b = trunc_meta_gradient(traj, g, L).estimate
-            assert rel_err(a, b) <= 1e-12
+            a = binomtrunc_meta_gradient(traj, g, L, L)
+            b = trunc_meta_gradient(traj, g, L)
+            assert np.array_equal(a.estimate, b.estimate)
+            assert a.cost.hvp_total == b.cost.hvp_total
 
     def test_constraint_violations(self):
         rng = np.random.default_rng(23)
@@ -299,7 +306,7 @@ class TestBinomTrunc:
             binomtrunc_meta_gradient(traj, g, 1, 5)  # C > K
 
     def test_counted_costs_equal_formula(self, monkeypatch):
-        # stage s sends the columns at iterates max(L-1-s, K-C)..K-1-s, i.e. min(K-L+1, C-s)
+        # stage s sends the C-L+1 columns at iterates K-C+L-1-s..K-1-s
         sent = []
         stage = Trajectory.hvp_stage
 
@@ -315,8 +322,7 @@ class TestBinomTrunc:
                 for C in range(L, K + 1):
                     sent.clear()
                     cost = binomtrunc_meta_gradient(traj, g, L, C).cost
-                    hvps = sum(min(K - L + 1, C - s) for s in range(L))
-                    expected = (0, 0, 0) if L == 0 else (hvps, L, K - L + 1)
+                    expected = (0, 0, 0) if L == 0 else (L * (C - L + 1), L, C - L + 1)
                     assert (cost.hvp_total, cost.sequential_depth, cost.peak_live_vectors) == expected
                     assert (sum(sent), len(sent)) == (cost.hvp_total, cost.sequential_depth)
 
@@ -324,7 +330,7 @@ class TestBinomTrunc:
         rng = np.random.default_rng(24)
         traj, g = prescribed_trajectory(rng, K=5)
         mg = binomtrunc_meta_gradient(traj, g, 1, 4)
-        assert mg.cost.hvp_total == 4  # window indices 1..4, index 0 masked
+        assert mg.cost.hvp_total == 4  # window iterates 1..4; iterate 0 is never sent
 
 
 class TestImaml:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metagrad import (
+    DivergenceError,
     EstimatorConfig,
     MetaTrainConfig,
     QuadraticTask,
@@ -55,6 +56,13 @@ class TestMetaStep:
         theta = np.array([1.0, 2.0])
         theta_next, _ = meta_step(theta, [TaskPair(_zero_task(), _zero_task())], cfg)
         assert np.array_equal(theta_next, theta)
+
+    def test_divergence_names_the_task(self):
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="full"), alpha=1.0, K=150, meta_batch=2)
+        steep = QuadraticTask(1e6 * np.eye(2), np.ones(2))
+        tasks = [TaskPair(_zero_task(), _zero_task()), TaskPair(steep, _zero_task())]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match=r"^task 1: "):
+            meta_step(np.ones(2), tasks, cfg)
 
     def test_empty_batch_rejected(self):
         cfg = MetaTrainConfig()
