@@ -24,9 +24,9 @@ class Trajectory:
     """A recorded K-step descent path for one task.
 
     ``iterates`` holds phi^0..phi^K. HVPs are replayed on demand through
-    :meth:`hvp` (one product) or :meth:`hvp_stage` (one product per iterate of
-    a run of consecutive steps), either via the backing objective or via a
-    prescribed per-step Hessian sequence.
+    :meth:`hvp_stage` (one product per iterate of a run of consecutive steps),
+    either via the backing objective or via a prescribed per-step Hessian
+    sequence; :meth:`hvp` is its one-product case.
     """
 
     iterates: tuple
@@ -48,11 +48,7 @@ class Trajectory:
 
     def hvp(self, k: int, v: np.ndarray) -> np.ndarray:
         """Hessian-vector product of the training loss at iterate k."""
-        if not 0 <= k < self.K:
-            raise IndexError(f"step index {k} outside [0, {self.K})")
-        if self.step_hessians is not None:
-            return self.step_hessians[k] @ v
-        return self.objective.hvp(self.iterates[k], v)
+        return self.hvp_stage(k, [v])[0]
 
     def hvp_stage(self, lo: int, vs):
         """Hessian at iterate lo + j applied to vs[j], for every j, as one call."""

@@ -18,12 +18,16 @@ for HVP count in different ways:
 * ``imaml`` -- solves (I + H/lambda) x = g at the final iterate by CG.
 * ``reptile`` -- moves toward the mean adapted parameter; no HVPs at all.
 
-There are two cores. ``backprop_products`` is the one right-to-left loop:
-``full`` and ``trunc`` stop it at product K and L, and the error experiments
-read the exact and every truncated estimate off a single pass. ``_cascade``
-is the one expansion implementation, behind ``binom`` and ``binom-trunc``.
-``binom_oracle`` enumerates the expansion tuple by tuple and is the
-deliberately unoptimized ground truth the cascade is tested against.
+There is one core, ``_cascade``: the order-L expansion over the last C steps.
+Every HVP-based estimate except imaml is a point of it: ``full`` is (L, C) =
+(K, K), ``trunc`` is (L, L), ``binom`` is (L, K) and ``binom-trunc`` is
+(L, C). At L = C each stage is a single HVP, so the cascade is the
+right-to-left backprop loop, and the right edge of the order-K cascade
+(``backprop_products``) holds the exact and every truncated estimate, which
+the error experiments read off a single pass. Every cost is counted from the
+stage calls the cascade makes. ``binom_oracle`` enumerates the expansion
+tuple by tuple and is the deliberately unoptimized ground truth the cascade
+is tested against.
 
 Every estimator is a pure function of (trajectory, g, parameters), so
 invocations are safe to run concurrently across tasks. Within a binom stage
@@ -121,35 +125,81 @@ def _check_L(L: int, K: int):
         raise ValueError(f"truncation L={L} outside [0, {K}]")
 
 
-def _finite_or_raise(v, where: str):
-    if not np.all(np.isfinite(v)):
-        raise DivergenceError(f"NaN/Inf at {where}")
-    return v
+def _effective_alpha(traj: Trajectory, L: int, rescale_alpha: bool) -> float:
+    # optional stability rescaling alpha' = L * alpha / K (none at L = 0, where K may be 0)
+    return traj.alpha * L / traj.K if rescale_alpha and L else traj.alpha
 
 
-def backprop_products(traj: Trajectory, g, label: str = "full product"):
-    """Yield g, P_1 g, ..., P_K g, where P_l = (I - alpha H^{K-l}) ... (I - alpha H^{K-1}).
+def _cascade(hvp_stage, first: int, C: int, L: int, alpha: float, g: np.ndarray):
+    """Run the order-L expansion cascade on steps first..first+C-1.
 
-    One right-to-left pass, one HVP per product: product l is the last-l
-    truncated estimate and product K the exact one, so a consumer that stops
-    at product L has run exactly L HVPs with one vector live.
+    Returns (estimate, edge, CostCounters). Writing k for a step of the window
+    and w[l, k] for the order-l expansion restricted to index tuples with
+    smallest entry >= k, the recursion is
+
+        w[l, k] = w[l, k+1] - alpha * H^k w[l-1, k+1],   w[0, .] = g,
+
+    and the estimate is w[L, first]. Stage l (l = 1..L) holds the window
+    w[l, first+L-l .. first+C-l]: its C-L+1 HVPs depend only on stage l-1, so
+    they are mutually independent and go to ``hvp_stage(lo, vs)`` as one call,
+    which applies the Hessian at step lo + j to vs[j]. The running sums then
+    fill the window in descending k.
+
+    The right edge w[l, first+C-l] of each window is the expansion over the
+    last l steps at full order, i.e. the product of the last l factors, so
+    ``edge`` is [g, P_1 g, ..., P_L g]. At L = C the window is one entry wide
+    and the cascade is the right-to-left backprop loop, one HVP per stage.
+
+    A NaN/Inf anywhere in a window reaches its first entry through the running
+    sum, so that one entry is checked per stage. The costs are counted from
+    the calls made: the vectors sent, the calls, and the widest window sent.
     """
-    v = np.asarray(g, dtype=float)
-    yield v
-    for k in range(traj.K - 1, -1, -1):
-        v = v - traj.alpha * traj.hvp(k, v)
-        _finite_or_raise(v, f"{label} step k={k}")
-        yield v
+    width = C - L + 1
+    v = [g] * width
+    edge = [g]
+    sent = []
+    for stage in range(L):
+        lo = first + L - 1 - stage
+        u = hvp_stage(lo, v)
+        sent.append(len(v))
+        nxt = [None] * width
+        run = v[-1]
+        for j in range(width - 1, -1, -1):
+            run = run - alpha * u[j]
+            nxt[j] = run
+        if not np.isfinite(run).all():
+            bad = next(j for j in range(width - 1, -1, -1) if not np.isfinite(nxt[j]).all())
+            raise DivergenceError(f"NaN/Inf at cascade stage {stage}, step k={lo + bad}")
+        v = nxt
+        edge.append(v[-1])
+    return v[0], edge, CostCounters(sum(sent), len(sent), max(sent, default=0))
 
 
-def _last_product(traj: Trajectory, g, L: int, label: str) -> np.ndarray:
-    return next(itertools.islice(backprop_products(traj, g, label), L, None))
+def _expansion(traj: Trajectory, g, L: int, C: int, rescale_alpha: bool = False):
+    """The order-L expansion over the last C steps: the cascade on steps K-C..K-1."""
+    K = traj.K
+    _check_L(L, K)
+    if not L <= C <= K:
+        raise ValueError(f"need L <= C <= K, got L={L}, C={C}, K={K}")
+    alpha = _effective_alpha(traj, L, rescale_alpha)
+    return _cascade(traj.hvp_stage, K - C, C, L, alpha, np.asarray(g, dtype=float))
+
+
+def backprop_products(traj: Trajectory, g) -> list:
+    """[g, P_1 g, ..., P_K g], where P_l = (I - alpha H^{K-l}) ... (I - alpha H^{K-1}).
+
+    The right edge of the order-K cascade, which is the one right-to-left
+    pass: product l is the last-l truncated estimate and product K the exact
+    one, at K HVPs in total.
+    """
+    return _expansion(traj, g, traj.K, traj.K)[1]
 
 
 def full_meta_gradient(traj: Trajectory, g) -> MetaGradient:
-    """Exact product, applied right to left: v <- v - alpha * H^k v for k = K-1..0."""
-    v = _last_product(traj, g, traj.K, "full product")
-    return MetaGradient(v, "full", None, CostCounters(traj.K, traj.K, 1))
+    """Exact product, applied right to left: the order-K expansion over all K
+    steps, one HVP per stage."""
+    v, _, cost = _expansion(traj, g, traj.K, traj.K)
+    return MetaGradient(v, "full", None, cost)
 
 
 def fo_meta_gradient(g) -> MetaGradient:
@@ -158,63 +208,10 @@ def fo_meta_gradient(g) -> MetaGradient:
 
 
 def trunc_meta_gradient(traj: Trajectory, g, L: int) -> MetaGradient:
-    """Product of the last L factors only; L = 0 is the first-order estimate
-    and L = K recovers the exact product."""
-    _check_L(L, traj.K)
-    v = _last_product(traj, g, L, "truncated product")
-    return MetaGradient(v, "trunc", L, CostCounters(L, L, 1))
-
-
-def _effective_alpha(traj: Trajectory, L: int, rescale_alpha: bool) -> float:
-    # optional stability rescaling alpha' = L * alpha / K (none at L = 0, where K may be 0)
-    return traj.alpha * L / traj.K if rescale_alpha and L else traj.alpha
-
-
-def _cascade(hvp_stage, K: int, L: int, alpha: float, g: np.ndarray):
-    """Run the L-stage expansion cascade; returns (estimate, CostCounters).
-
-    Writing w[l, k] for the order-l expansion restricted to index tuples with
-    smallest entry >= k, the recursion is
-
-        w[l, k] = w[l, k+1] - alpha * H^k w[l-1, k+1],   w[0, .] = g,
-
-    and the estimate is w[L, 0]. Stage l (l = 1..L) holds the window
-    w[l, L-l..K-l]: its K-L+1 HVPs touch iterates L-l..K-l and depend only on
-    stage l-1, so they are mutually independent and go to
-    ``hvp_stage(lo, vs)`` as one call, which applies the Hessian at iterate
-    lo + j to vs[j]. The running sums then fill the window in descending k. A
-    NaN/Inf anywhere in the window reaches w[l, L-l] through the running sum,
-    so that one entry is checked per stage. The costs are counted from the
-    calls made: the vectors sent, the calls, and the widest window sent.
-    """
-    width = K - L + 1
-    v = [g] * width
-    sent = []
-    for stage in range(L):
-        u = hvp_stage(L - 1 - stage, v)
-        sent.append(len(v))
-        nxt = [None] * width
-        run = v[width - 1]
-        for j in range(width - 1, -1, -1):
-            run = run - alpha * u[j]
-            nxt[j] = run
-        if not np.all(np.isfinite(nxt[0])):
-            bad = next(j for j in range(width - 1, -1, -1) if not np.all(np.isfinite(nxt[j])))
-            raise DivergenceError(f"NaN/Inf at cascade stage {stage}, index {bad}")
-        v = nxt
-    return v[0], CostCounters(sum(sent), len(sent), max(sent, default=0))
-
-
-def _binom_last(traj: Trajectory, g, L: int, C: int, rescale_alpha: bool, kind: str) -> MetaGradient:
-    """The order-L expansion over the last C steps: the cascade on iterates K-C..K-1."""
-    K = traj.K
-    _check_L(L, K)
-    if not L <= C <= K:
-        raise ValueError(f"need L <= C <= K, got L={L}, C={C}, K={K}")
-    alpha = _effective_alpha(traj, L, rescale_alpha)
-    g = np.asarray(g, dtype=float)
-    estimate, cost = _cascade(lambda lo, vs: traj.hvp_stage(K - C + lo, vs), C, L, alpha, g)
-    return MetaGradient(estimate, kind, L, cost)
+    """Product of the last L factors only: the order-L expansion over the last
+    L steps. L = 0 is the first-order estimate and L = K the exact product."""
+    v, _, cost = _expansion(traj, g, L, L)
+    return MetaGradient(v, "trunc", L, cost)
 
 
 def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> MetaGradient:
@@ -224,7 +221,8 @@ def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False
     exact product. The counted cost is L*(K-L+1) HVPs in L stage calls
     (sequential depth L), with K-L+1 vectors live.
     """
-    return _binom_last(traj, g, L, traj.K, rescale_alpha, "binom")
+    v, _, cost = _expansion(traj, g, L, traj.K, rescale_alpha)
+    return MetaGradient(v, "binom", L, cost)
 
 
 ORACLE_MAX_K = 14
@@ -264,7 +262,8 @@ def binomtrunc_meta_gradient(
     (``trunc``), C = K the plain expansion (``binom``); the alpha rescaling,
     when on, still uses the full K.
     """
-    return _binom_last(traj, g, L, C, rescale_alpha, "binom-trunc")
+    v, _, cost = _expansion(traj, g, L, C, rescale_alpha)
+    return MetaGradient(v, "binom-trunc", L, cost)
 
 
 def imaml_meta_gradient(

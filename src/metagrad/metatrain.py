@@ -130,7 +130,7 @@ def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alph
     truncated estimate read off one backprop pass."""
     for L in l_values:
         _check_L(L, traj.K)
-    products = list(backprop_products(traj, g))
+    products = backprop_products(traj, g)
     exact = products[-1]
     e_fo = estimation_error(g, exact)
     return [

@@ -68,7 +68,7 @@ def binom_expansion_matrix(traj, L):
     def stage(lo, ms):
         return [hessians[lo + j] @ m for j, m in enumerate(ms)]
 
-    return _cascade(stage, traj.K, L, traj.alpha, np.eye(traj.dim))[0]
+    return _cascade(stage, 0, traj.K, L, traj.alpha, np.eye(traj.dim))[0]
 
 
 def strict_lower_ones(n: int) -> np.ndarray:

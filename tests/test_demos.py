@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,11 @@ def test_demo_writes_the_cli_table(tmp_path, monkeypatch, capsys, demo, command,
     demo_bytes = (tmp_path / "demo" / table).read_bytes()
     assert demo_bytes == (tmp_path / "cli" / table).read_bytes()
     assert demo_bytes.decode() in capsys.readouterr().out
+
+
+def test_sharp_instances_meet_the_bounds(capsys):
+    # full, trunc and binom through the public API; every bound is attained to the printed digit
+    load_demo("sharp_instances").main()
+    pairs = re.findall(r"(\d+\.\d+) = (\d+\.\d+)", capsys.readouterr().out)
+    assert len(pairs) == 13
+    assert all(measured == bound for measured, bound in pairs)

@@ -42,6 +42,20 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b))
 
 
+@pytest.fixture
+def stage_sizes(monkeypatch):
+    """The number of vectors sent in each ``Trajectory.hvp_stage`` call, in call order."""
+    sent = []
+    stage = Trajectory.hvp_stage
+
+    def counting(self, lo, vs):
+        sent.append(len(vs))
+        return stage(self, lo, vs)
+
+    monkeypatch.setattr(Trajectory, "hvp_stage", counting)
+    return sent
+
+
 class TestFull:
     def test_single_factor(self):
         rng = np.random.default_rng(0)
@@ -78,8 +92,21 @@ class TestFull:
             alpha=1e200,
             step_hessians=(huge, huge),
         )
-        with pytest.raises(DivergenceError, match="step"):
+        with pytest.raises(DivergenceError, match="cascade stage 0, step k=1$"):
             full_meta_gradient(traj, np.ones(1))
+
+    def test_counted_costs_equal_formula(self, stage_sizes):
+        # full and trunc are cascades one vector wide: one stage call per factor
+        rng = np.random.default_rng(36)
+        for K in range(1, 7):
+            traj, g = prescribed_trajectory(rng, d=2, K=K)
+            runs = [(K, lambda: full_meta_gradient(traj, g))]
+            runs += [(L, lambda L=L: trunc_meta_gradient(traj, g, L)) for L in range(K + 1)]
+            for L, run in runs:
+                stage_sizes.clear()
+                cost = run().cost
+                assert (sum(stage_sizes), len(stage_sizes)) == (cost.hvp_total, cost.sequential_depth) == (L, L)
+                assert cost.peak_live_vectors == min(L, 1)
 
 
 class TestFirstOrder:
@@ -122,7 +149,7 @@ class TestTrunc:
         rng = np.random.default_rng(7)
         traj, g = quadratic_trajectory(rng, K=5)
         assert trunc_meta_gradient(traj, g, 3).cost == CostCounters(3, 3, 1)
-        assert trunc_meta_gradient(traj, g, 0).cost == CostCounters(0, 0, 1)
+        assert trunc_meta_gradient(traj, g, 0).cost == CostCounters(0, 0, 0)
 
 
 class TestBinom:
@@ -205,7 +232,7 @@ class TestBinom:
             alpha=1e200,
             step_hessians=(huge, huge),
         )
-        with pytest.raises(DivergenceError, match="stage"):
+        with pytest.raises(DivergenceError, match="cascade stage 0, step k=1$"):
             binom_meta_gradient(traj, np.ones(1), 2)
 
 
@@ -305,26 +332,30 @@ class TestBinomTrunc:
         with pytest.raises(ValueError):
             binomtrunc_meta_gradient(traj, g, 1, 5)  # C > K
 
-    def test_counted_costs_equal_formula(self, monkeypatch):
+    def test_counted_costs_equal_formula(self, stage_sizes):
         # stage s sends the C-L+1 columns at iterates K-C+L-1-s..K-1-s
-        sent = []
-        stage = Trajectory.hvp_stage
-
-        def counting(self, lo, vs):
-            sent.append(len(vs))
-            return stage(self, lo, vs)
-
-        monkeypatch.setattr(Trajectory, "hvp_stage", counting)
         rng = np.random.default_rng(35)
         for K in range(1, 7):
             traj, g = prescribed_trajectory(rng, d=2, K=K)
             for L in range(K + 1):
                 for C in range(L, K + 1):
-                    sent.clear()
+                    stage_sizes.clear()
                     cost = binomtrunc_meta_gradient(traj, g, L, C).cost
                     expected = (0, 0, 0) if L == 0 else (L * (C - L + 1), L, C - L + 1)
                     assert (cost.hvp_total, cost.sequential_depth, cost.peak_live_vectors) == expected
-                    assert (sum(sent), len(sent)) == (cost.hvp_total, cost.sequential_depth)
+                    assert (sum(stage_sizes), len(stage_sizes)) == (cost.hvp_total, cost.sequential_depth)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nan_abort_names_trajectory_step(self):
+        # window steps 1..2; only step 2 overflows, so the report names step 2, not window index 1
+        flat, huge = np.zeros((1, 1)), np.array([[1e208]])
+        traj = Trajectory(
+            iterates=tuple(np.zeros(1) for _ in range(4)),
+            alpha=1e200,
+            step_hessians=(flat, flat, huge),
+        )
+        with pytest.raises(DivergenceError, match="cascade stage 0, step k=2$"):
+            binomtrunc_meta_gradient(traj, np.ones(1), 1, 2)
 
     def test_masked_hvps_not_charged(self):
         rng = np.random.default_rng(24)
