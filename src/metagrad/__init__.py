@@ -30,7 +30,6 @@ from .estimators import (
     CostCounters,
     EstimatorConfig,
     MetaGradient,
-    backprop_products,
     binom_meta_gradient,
     binom_oracle,
     binomtrunc_meta_gradient,

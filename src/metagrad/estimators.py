@@ -18,16 +18,16 @@ for HVP count in different ways:
 * ``imaml`` -- solves (I + H/lambda) x = g at the final iterate by CG.
 * ``reptile`` -- moves toward the mean adapted parameter; no HVPs at all.
 
-There is one core, ``_cascade``: the order-L expansion over the last C steps.
-Every HVP-based estimate except imaml is a point of it: ``full`` is (L, C) =
+There is one core, ``_cascade``: the expansion over the last C steps. Every
+HVP-based estimate except imaml is a point of it: ``full`` is (L, C) =
 (K, K), ``trunc`` is (L, L), ``binom`` is (L, K) and ``binom-trunc`` is
 (L, C). At L = C each stage is a single HVP, so the cascade is the
-right-to-left backprop loop, and the right edge of the order-K cascade
-(``backprop_products``) holds the exact and every truncated estimate, which
-the error experiments read off a single pass. Every cost is counted from the
-stage calls the cascade makes. ``binom_oracle`` enumerates the expansion
-tuple by tuple and is the deliberately unoptimized ground truth the cascade
-is tested against.
+right-to-left backprop loop. No term of the expansion depends on L, so one
+pass to order K holds every order's estimate on its left edge and the exact
+and every truncated product on its right edge; the error experiments read
+all of them off that one pass. Every cost is counted from the stage calls
+the cascade makes. ``binom_oracle`` enumerates the expansion tuple by tuple
+and is the deliberately unoptimized ground truth the cascade is tested against.
 
 Every estimator is a pure function of (trajectory, g, parameters), so
 invocations are safe to run concurrently across tasks. Within a binom stage
@@ -130,69 +130,63 @@ def _effective_alpha(traj: Trajectory, L: int, rescale_alpha: bool) -> float:
     return traj.alpha * L / traj.K if rescale_alpha and L else traj.alpha
 
 
-def _cascade(hvp_stage, first: int, C: int, L: int, alpha: float, g: np.ndarray):
-    """Run the order-L expansion cascade on steps first..first+C-1.
+def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray):
+    """Run the expansion cascade on steps first..first+C-1 to every listed order.
 
-    Returns (estimate, edge, CostCounters). Writing k for a step of the window
-    and w[l, k] for the order-l expansion restricted to index tuples with
-    smallest entry >= k, the recursion is
+    ``orders`` is sorted, distinct and in [0, C]. Writing w[l, k] for the
+    order-l expansion over index tuples with smallest entry >= k,
 
-        w[l, k] = w[l, k+1] - alpha * H^k w[l-1, k+1],   w[0, .] = g,
+        w[l, k] = w[l, k+1] - alpha * H^k w[l-1, k+1],   w[0, .] = g.
 
-    and the estimate is w[L, first]. Stage l (l = 1..L) holds the window
-    w[l, first+L-l .. first+C-l]: its C-L+1 HVPs depend only on stage l-1, so
-    they are mutually independent and go to ``hvp_stage(lo, vs)`` as one call,
-    which applies the Hessian at step lo + j to vs[j]. The running sums then
-    fill the window in descending k.
+    No term depends on the order asked for, so one pass to the top order
+    returns ({L: w[L, first]} for every listed L, edge, CostCounters). Stage l
+    holds the window w[l, first+m-l .. first+C-l], m being the smallest listed
+    order >= l, so after stage m the entries no higher order needs drop off
+    the left; for one order L every window is C-L+1 wide. A stage's HVPs
+    depend only on stage l-1, so they go to ``hvp_stage(lo, vs)`` as one call
+    (the Hessian at step lo + j applied to vs[j]), and the running sums fill
+    the window in descending k.
 
-    The right edge w[l, first+C-l] of each window is the expansion over the
-    last l steps at full order, i.e. the product of the last l factors, so
-    ``edge`` is [g, P_1 g, ..., P_L g]. At L = C the window is one entry wide
-    and the cascade is the right-to-left backprop loop, one HVP per stage.
+    The right edge w[l, first+C-l] is the product of the last l factors, so
+    ``edge`` is [g, P_1 g, ..., P_top g], every truncated product; at L = C
+    the window is one entry wide and the cascade is the backprop loop.
 
     A NaN/Inf anywhere in a window reaches its first entry through the running
     sum, so that one entry is checked per stage. The costs are counted from
     the calls made: the vectors sent, the calls, and the widest window sent.
     """
-    width = C - L + 1
-    v = [g] * width
-    edge = [g]
-    sent = []
-    for stage in range(L):
-        lo = first + L - 1 - stage
-        u = hvp_stage(lo, v)
-        sent.append(len(v))
-        nxt = [None] * width
-        run = v[-1]
-        for j in range(width - 1, -1, -1):
-            run = run - alpha * u[j]
-            nxt[j] = run
-        if not np.isfinite(run).all():
-            bad = next(j for j in range(width - 1, -1, -1) if not np.isfinite(nxt[j]).all())
-            raise DivergenceError(f"NaN/Inf at cascade stage {stage}, step k={lo + bad}")
-        v = nxt
-        edge.append(v[-1])
-    return v[0], edge, CostCounters(sum(sent), len(sent), max(sent, default=0))
+    v = [g] * (C + 1)
+    estimates, edge, sent = {}, [g], []
+    for m in orders:
+        width = C - m + 1
+        v = v[len(v) - width:]
+        for l in range(len(edge), m + 1):
+            lo = first + m - l
+            u = hvp_stage(lo, v)
+            sent.append(width)
+            nxt = [None] * width
+            run = v[-1]
+            for j in range(width - 1, -1, -1):
+                run = run - alpha * u[j]
+                nxt[j] = run
+            if not np.isfinite(run).all():
+                bad = next(j for j in range(width - 1, -1, -1) if not np.isfinite(nxt[j]).all())
+                raise DivergenceError(f"NaN/Inf at cascade stage {l - 1}, step k={lo + bad}")
+            v = nxt
+            edge.append(v[-1])
+        estimates[m] = v[0]
+    return estimates, edge, CostCounters(sum(sent), len(sent), max(sent, default=0))
 
 
 def _expansion(traj: Trajectory, g, L: int, C: int, rescale_alpha: bool = False):
-    """The order-L expansion over the last C steps: the cascade on steps K-C..K-1."""
+    """The order-L expansion over the last C steps: (estimate, edge, CostCounters)."""
     K = traj.K
     _check_L(L, K)
     if not L <= C <= K:
         raise ValueError(f"need L <= C <= K, got L={L}, C={C}, K={K}")
     alpha = _effective_alpha(traj, L, rescale_alpha)
-    return _cascade(traj.hvp_stage, K - C, C, L, alpha, np.asarray(g, dtype=float))
-
-
-def backprop_products(traj: Trajectory, g) -> list:
-    """[g, P_1 g, ..., P_K g], where P_l = (I - alpha H^{K-l}) ... (I - alpha H^{K-1}).
-
-    The right edge of the order-K cascade, which is the one right-to-left
-    pass: product l is the last-l truncated estimate and product K the exact
-    one, at K HVPs in total.
-    """
-    return _expansion(traj, g, traj.K, traj.K)[1]
+    estimates, edge, cost = _cascade(traj.hvp_stage, K - C, C, (L,), alpha, np.asarray(g, dtype=float))
+    return estimates[L], edge, cost
 
 
 def full_meta_gradient(traj: Trajectory, g) -> MetaGradient:

@@ -21,9 +21,9 @@ from .adaptation import DivergenceError, Trajectory, gd_adapt, validation_gradie
 from .csvtable import csv_text, row_values
 from .estimators import (
     EstimatorConfig,
+    _cascade,
     _check_L,
-    backprop_products,
-    binom_meta_gradient,
+    _effective_alpha,
     estimate,
     estimation_error,
     reptile_direction,
@@ -126,16 +126,23 @@ def train_csv(rows: Sequence[TrainRecordRow]) -> str:
 
 def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alpha: bool):
     """[(e_fo, e_tr, e_bin) per L]: errors of the first-order, truncated and
-    expansion estimates against the exact product, with the exact and every
-    truncated estimate read off one backprop pass."""
+    expansion estimates against the exact product, read off one cascade per
+    task and effective alpha. The base-alpha cascade runs to order K, so its
+    right edge holds the exact and every truncated product."""
+    K = traj.K
     for L in l_values:
-        _check_L(L, traj.K)
-    products = backprop_products(traj, g)
-    exact = products[-1]
+        _check_L(L, K)
+    g = np.asarray(g, dtype=float)
+    groups = {traj.alpha: {K}}
+    for L in l_values:
+        groups.setdefault(_effective_alpha(traj, L, rescale_alpha), set()).add(L)
+    runs = {a: _cascade(traj.hvp_stage, 0, K, sorted(ls), a, g) for a, ls in groups.items()}
+    products = runs[traj.alpha][1]
+    exact = products[K]
     e_fo = estimation_error(g, exact)
     return [
         (e_fo, estimation_error(products[L], exact),
-         estimation_error(binom_meta_gradient(traj, g, L, rescale_alpha), exact))
+         estimation_error(runs[_effective_alpha(traj, L, rescale_alpha)][0][L], exact))
         for L in l_values
     ]
 
@@ -222,9 +229,9 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
 
     For every batch: adapt each task from the same theta, take the exact
     product as the reference, and record the batch-mean errors of the
-    first-order, truncated, and expansion estimates at each L. The exact and
-    every truncated estimate come off one backprop pass per task. Returns
-    (per_batch_rows, averaged_rows).
+    first-order, truncated, and expansion estimates at each L. Every estimate
+    comes off one cascade per task and effective alpha (see
+    ``_estimator_errors``). Returns (per_batch_rows, averaged_rows).
     """
     if batches < 1:
         raise ValueError("batches must be >= 1")

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from metagrad import (
     PrescribedHessianSequence,
+    Trajectory,
     from_hessian_sequence,
     gd_adapt,
     mlp_init,
@@ -11,6 +13,20 @@ from metagrad import (
     validation_gradient,
 )
 from metagrad.estimators import _cascade
+
+
+@pytest.fixture
+def stage_sizes(monkeypatch):
+    """The number of vectors sent in each ``Trajectory.hvp_stage`` call, in call order."""
+    sent = []
+    stage = Trajectory.hvp_stage
+
+    def counting(self, lo, vs):
+        sent.append(len(vs))
+        return stage(self, lo, vs)
+
+    monkeypatch.setattr(Trajectory, "hvp_stage", counting)
+    return sent
 
 
 def quadratic_trajectory(rng, d=4, K=5, alpha=0.2, lo=0.0, hi=1.0):
@@ -68,7 +84,7 @@ def binom_expansion_matrix(traj, L):
     def stage(lo, ms):
         return [hessians[lo + j] @ m for j, m in enumerate(ms)]
 
-    return _cascade(stage, 0, traj.K, L, traj.alpha, np.eye(traj.dim))[0]
+    return _cascade(stage, 0, traj.K, (L,), traj.alpha, np.eye(traj.dim))[0][L]
 
 
 def strict_lower_ones(n: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from metagrad import (
     EstimatorConfig,
     MetaTrainConfig,
     QuadraticTask,
-    backprop_products,
     binom_meta_gradient,
     binom_oracle,
     binom_sum_collapse_check,
@@ -35,6 +34,7 @@ from metagrad import (
     sweep_csv,
     trunc_meta_gradient,
 )
+from metagrad.estimators import _expansion
 
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):
@@ -86,7 +86,7 @@ def _degeneracies(traj, g, L):
     """(got, want) pairs that must agree bit for bit at any truncation L."""
     K = traj.K
     full = full_meta_gradient(traj, g).estimate
-    products = list(backprop_products(traj, g))
+    products = _expansion(traj, g, K, K)[1]
     pairs = [
         (binom_meta_gradient(traj, g, 0).estimate, g),
         (trunc_meta_gradient(traj, g, 0).estimate, g),

@@ -158,6 +158,16 @@ class TestMetatrain:
         err = capsys.readouterr().err
         assert "diverge" in err and "task 0" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_sweep_divergence_names_batch_task_and_step(self, tmp_path, capsys):
+        # K = 1 keeps the iterate finite, so the cascade is the first to overflow
+        args = [
+            "error-sweep", "--family", "quadratic", "--alpha", "1e300", "--K", "1",
+            "--batches", "1", "--batch", "2", "--out", str(tmp_path / "x"),
+        ]
+        assert main(args) == 2
+        assert "batch 0, task 0: NaN/Inf at cascade stage 0, step k=0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("C, same", [("2", ["--estimator", "trunc"]), ("5", ["--estimator", "binom"])])
     def test_binom_trunc_window_ends_are_trunc_and_binom(self, tmp_path, C, same):
         # at L = 2, K = 5 the hybrid with C = L is trunc and with C = K is binom, costs included

@@ -20,7 +20,6 @@ from metagrad import (
     MlpObjective,
     QuadraticTask,
     Trajectory,
-    backprop_products,
     binom_meta_gradient,
     binom_oracle,
     binomtrunc_meta_gradient,
@@ -36,24 +35,11 @@ from metagrad import (
     sharpness_sequence,
     trunc_meta_gradient,
 )
+from metagrad.estimators import _cascade, _expansion
 
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b))
-
-
-@pytest.fixture
-def stage_sizes(monkeypatch):
-    """The number of vectors sent in each ``Trajectory.hvp_stage`` call, in call order."""
-    sent = []
-    stage = Trajectory.hvp_stage
-
-    def counting(self, lo, vs):
-        sent.append(len(vs))
-        return stage(self, lo, vs)
-
-    monkeypatch.setattr(Trajectory, "hvp_stage", counting)
-    return sent
 
 
 class TestFull:
@@ -447,7 +433,7 @@ class TestCascadeStructure:
     def test_partial_products_equal_truncated_products(self):
         rng = np.random.default_rng(28)
         traj, g = quadratic_trajectory(rng, d=4, K=6)
-        products = list(backprop_products(traj, g))
+        products = _expansion(traj, g, traj.K, traj.K)[1]
         assert len(products) == 7
         for l, product in enumerate(products):
             assert rel_err(product, dense_product(traj, L=l) @ g) <= 1e-10
@@ -478,6 +464,35 @@ class TestCascadeStructure:
                 m = binom_expansion_matrix(traj, L)
                 v = binom_meta_gradient(traj, g, L).estimate
                 assert np.max(np.abs(m @ g - v)) <= 1e-12 * (1 + np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("family", ["prescribed", "logistic"])
+    def test_multi_order_edges_equal_single_order_cascades(self, family):
+        # one pass over any subset of orders, on any window (first = K - C > 0 included),
+        # gives each order's own cascade estimate and the truncated products, bit for bit
+        make = {"prescribed": prescribed_trajectory, "logistic": logistic_trajectory}[family]
+        traj, g = make(np.random.default_rng(41), d=3, K=5)
+        K = traj.K
+        for C in range(1, K + 1):
+            for size in range(1, C + 2):
+                for orders in itertools.combinations(range(C + 1), size):
+                    estimates, edge, _ = _cascade(traj.hvp_stage, K - C, C, orders, traj.alpha, g)
+                    assert sorted(estimates) == list(orders)
+                    for L in orders:
+                        assert np.array_equal(estimates[L], _expansion(traj, g, L, C)[0])
+                    assert len(edge) == orders[-1] + 1
+                    for l, product in enumerate(edge):
+                        assert np.array_equal(product, trunc_meta_gradient(traj, g, l).estimate)
+
+    def test_multi_order_costs_are_counted_windows(self, stage_sizes):
+        # stage l sends the C-m+1 columns that orders >= m still need, m the next listed order
+        traj, g = prescribed_trajectory(np.random.default_rng(42), d=2, K=6)
+        for orders, sizes in (((0, 6), [1] * 6), ((2, 6), [5, 5, 1, 1, 1, 1]),
+                              ((1, 3, 4), [6, 4, 4, 3]), (tuple(range(7)), [6, 5, 4, 3, 2, 1])):
+            stage_sizes.clear()
+            cost = _cascade(traj.hvp_stage, 0, 6, orders, traj.alpha, g)[2]
+            assert stage_sizes == sizes
+            assert (cost.hvp_total, cost.sequential_depth, cost.peak_live_vectors) == (
+                sum(sizes), len(sizes), max(sizes))
 
     @given(
         a=st.floats(-3, 3, allow_nan=False),

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import logistic_trajectory, prescribed_trajectory, quadratic_trajectory, sine_trajectory
 from metagrad import (
     DivergenceError,
     EstimatorConfig,
     MetaTrainConfig,
     QuadraticTask,
     TaskPair,
+    Trajectory,
     binom_meta_gradient,
     estimation_error,
     full_meta_gradient,
@@ -17,7 +19,15 @@ from metagrad import (
     sample_task_batch,
     validation_gradient,
 )
-from metagrad.metatrain import TRAIN_CSV_HEADER, averaged_csv, initial_theta, per_batch_csv, train_csv
+from metagrad.estimators import _expansion
+from metagrad.metatrain import (
+    TRAIN_CSV_HEADER,
+    _estimator_errors,
+    averaged_csv,
+    initial_theta,
+    per_batch_csv,
+    train_csv,
+)
 
 
 def _zero_task():
@@ -220,3 +230,75 @@ class TestErrorExperiment:
         cfg = MetaTrainConfig(family="quadratic", K=3)
         with pytest.raises(ValueError):
             run_error_experiment(cfg, [4], batches=1)
+
+
+def _errors_one_cascade_per_estimate(traj, g, l_values, rescale_alpha):
+    """The sweep's errors composed estimate by estimate: the right edge of the
+    order-K cascade for the exact and truncated products, then one whole binom
+    cascade per L."""
+    products = _expansion(traj, g, traj.K, traj.K)[1]
+    exact = products[-1]
+    e_fo = estimation_error(g, exact)
+    return [
+        (e_fo, estimation_error(products[L], exact),
+         estimation_error(binom_meta_gradient(traj, g, L, rescale_alpha), exact))
+        for L in l_values
+    ]
+
+
+class TestEstimatorErrors:
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "sine", "prescribed"])
+    def test_equal_to_one_cascade_per_estimate(self, family):
+        # quadratic's alpha = 0.2 puts L = K in its own cascade under rescaling at K = 3, 6
+        make = {"quadratic": quadratic_trajectory, "logistic": logistic_trajectory,
+                "sine": sine_trajectory, "prescribed": prescribed_trajectory}[family]
+        rng = np.random.default_rng(43)
+        for K in (1, 3, 6):
+            traj, g = make(rng, K=K)
+            for l_values in (list(range(K + 1)), [K // 2], [3, 1, 3, 0] if K >= 3 else [1, 0, 1]):
+                for rescale in (False, True):
+                    got = _estimator_errors(traj, g, l_values, rescale)
+                    assert got == _errors_one_cascade_per_estimate(traj, g, l_values, rescale)
+
+    def test_counted_hvps_without_rescale(self, stage_sizes):
+        # one triangle per task: every order at K(K+1)/2 HVPs, a single L at L(K-L+1) + (K-L)
+        rng = np.random.default_rng(44)
+        for K in range(1, 7):
+            traj, g = prescribed_trajectory(rng, d=2, K=K)
+            stage_sizes.clear()
+            _estimator_errors(traj, g, list(range(K + 1)), False)
+            assert stage_sizes == list(range(K, 0, -1))
+            for L in range(K + 1):
+                stage_sizes.clear()
+                _estimator_errors(traj, g, [L], False)
+                assert (sum(stage_sizes), len(stage_sizes)) == (L * (K - L + 1) + (K - L), K)
+
+    def test_counted_hvps_with_rescale(self, stage_sizes):
+        # L = 0 and the exact product share the base alpha; every other L runs its own
+        # cascade, L = K too where K * alpha / K does not round back to alpha
+        rng = np.random.default_rng(45)
+        for alpha in (0.25, 0.2):
+            for K in range(1, 7):
+                traj, g = prescribed_trajectory(rng, d=2, K=K, alpha=alpha)
+                split = alpha * K / K != alpha
+                assert split == (alpha == 0.2 and K in (3, 6))
+                for l_values in (list(range(K + 1)), [K], [0, K // 2, 0]):
+                    stage_sizes.clear()
+                    _estimator_errors(traj, g, l_values, True)
+                    own = [L for L in set(l_values) if 0 < L < K or (L == K and split)]
+                    assert sum(stage_sizes) == K + sum(L * (K - L + 1) for L in own)
+                    assert len(stage_sizes) == K + sum(own)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_names_the_step(self):
+        # only step 2 overflows; the triangle reaches it in its first stage
+        flat, huge = np.zeros((1, 1)), np.array([[1e208]])
+        traj = Trajectory(
+            iterates=tuple(np.zeros(1) for _ in range(5)),
+            alpha=1e200,
+            step_hessians=(flat, flat, huge, flat),
+        )
+        for l_values in ([0, 1, 2, 3, 4], [1], [4]):
+            for rescale in (False, True):
+                with pytest.raises(DivergenceError, match=r"cascade stage \d, step k=2$"):
+                    _estimator_errors(traj, np.ones(1), l_values, rescale)
