@@ -57,7 +57,7 @@ class Trajectory:
             raise IndexError(f"step indices {lo}..{hi - 1} outside [0, {self.K})")
         if self.step_hessians is not None:
             return [h @ v for h, v in zip(self.step_hessians[lo:hi], vs)]
-        return self.objective.hvp_stack(self.iterates[lo:hi], vs)
+        return self.objective.hvp(self.iterates[lo:hi], vs)
 
     def step_hessian(self, k: int) -> np.ndarray:
         """Explicit Hessian at iterate k, when one is available."""

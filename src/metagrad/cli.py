@@ -47,7 +47,6 @@ SCHEMAS = {
         "h": ("float", 0.1),
         "M": ("int", 1),
         "g_norm": ("float", 1.0),
-        "seed": ("int", 0),
     },
     "error-sweep": {
         "family": ("str", "quadratic"),
@@ -84,7 +83,6 @@ SCHEMAS = {
         "K": ("int", 5),
         "d": ("int", 2),
         "alpha": ("float", 0.25),
-        "seed": ("int", 0),
     },
 }
 

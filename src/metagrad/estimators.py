@@ -32,10 +32,11 @@ and is the deliberately unoptimized ground truth the cascade is tested against.
 Every estimator is a pure function of (trajectory, g, parameters), so
 invocations are safe to run concurrently across tasks. Within a binom stage
 the HVPs are independent, so each stage runs as one stacked call
-(``Trajectory.hvp_stage``, which the objective's ``hvp_stack`` serves), and
-each column of it equals the single-vector HVP bit for bit. The stage barrier
-and the fixed descending-index summation order are the only synchronization
-contract, so the result equals the one-HVP-at-a-time schedule bit for bit.
+(``Trajectory.hvp_stage``, one ``hvp`` call on B x d stacks of the stage's
+iterates and vectors), and each row of it equals the single-vector HVP bit
+for bit. The stage barrier and the fixed descending-index summation order
+are the only synchronization contract, so the result equals the
+one-HVP-at-a-time schedule bit for bit.
 """
 
 import itertools
@@ -126,8 +127,8 @@ def _check_L(L: int, K: int):
 
 
 def _effective_alpha(traj: Trajectory, L: int, rescale_alpha: bool) -> float:
-    # optional stability rescaling alpha' = L * alpha / K (none at L = 0, where K may be 0)
-    return traj.alpha * L / traj.K if rescale_alpha and L else traj.alpha
+    # optional stability rescaling alpha' = L * alpha / K; L = 0 and L = K keep alpha exactly
+    return traj.alpha * L / traj.K if rescale_alpha and 0 < L < traj.K else traj.alpha
 
 
 def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray):

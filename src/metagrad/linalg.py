@@ -16,23 +16,27 @@ class CGBreakdownError(RuntimeError):
     """Raised when CG meets non-positive curvature, i.e. the map is not SPD."""
 
 
+def _finite(a, ndims, shape: str, what: str) -> np.ndarray:
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim not in ndims:
+        raise ValueError(f"expected {shape}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains NaN or Inf")
+    return arr
+
+
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-D float64 array, raising on NaN/Inf."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector contains NaN or Inf")
-    return arr
+    return _finite(v, (1,), "a 1-D vector", "vector")
+
+
+def as_vectors(v) -> np.ndarray:
+    """Coerce one vector or a B x d stack of vectors to a finite float64 array."""
+    return _finite(v, (1, 2), "a vector or a stack of vectors", "vector")
 
 
 def as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains NaN or Inf")
-    return arr
+    return _finite(m, (2,), "a 2-D matrix", "matrix")
 
 
 def is_symmetric(m: np.ndarray) -> bool:

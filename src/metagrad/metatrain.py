@@ -169,7 +169,11 @@ def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig
         with _failure_prefix(f"task {t}"):
             trajectories.append(gd_adapt(pair.train, theta, cfg.alpha, cfg.K))
             grads.append(validation_gradient(pair.val, trajectories[-1]))
-    meta_loss = float(np.mean([pair.val.value(traj.final) for pair, traj in zip(tasks, trajectories)]))
+    losses = [pair.val.value(traj.final) for pair, traj in zip(tasks, trajectories)]
+    for t, loss in enumerate(losses):
+        if not math.isfinite(loss):
+            raise DivergenceError(f"task {t}: validation loss is NaN/Inf")
+    meta_loss = float(np.mean(losses))
     for t, (traj, g) in enumerate(zip(trajectories, grads)):
         with _failure_prefix(f"task {t}"):
             if cfg.estimator.kind != "reptile":

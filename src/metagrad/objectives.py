@@ -1,7 +1,7 @@
 """Smooth task objectives: value, gradient, and Hessian-vector products.
 
-A task objective is anything exposing ``value``, ``gradient`` and ``hvp`` at a
-parameter point. Concrete families:
+A task objective exposes ``value``, ``gradient`` and ``hvp``; ``hvp`` takes one
+(point, direction) pair or B x d stacks of them. Concrete families:
 
 * :class:`QuadraticTask` -- closed-form constant-Hessian oracle family.
 * :class:`LogisticTask` -- convex NLL with an analytic HVP.
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, is_symmetric
+from .linalg import as_matrix, as_vector, as_vectors, is_symmetric
 
 AMPLITUDE_RANGE = (0.1, 5.0)
 PHASE_RANGE = (0.0, np.pi)
@@ -35,7 +35,8 @@ def hvp_finite_difference(obj, phi, v) -> np.ndarray:
     Differences along the unit direction u = v/||v|| and rescales by ||v||,
     so the result is exactly homogeneous in v. When ||v|| underflows, v is
     scaled by max|v| instead; a zero v gives a zero product. The step is
-    eps = 1e-5 * (1 + ||phi||), balancing truncation against round-off.
+    eps = 1e-5 * (1 + ||phi||), balancing truncation against round-off. It is
+    the reference the analytic products are tested against.
     """
     phi = as_vector(phi)
     v = as_vector(v)
@@ -54,12 +55,10 @@ def hvp_finite_difference(obj, phi, v) -> np.ndarray:
 class TaskObjective(abc.ABC):
     """Contract for a smooth loss: value, gradient, HVP at any point.
 
-    ``hvp`` defaults to :func:`hvp_finite_difference`; families with an
-    analytic product override it. ``hvp_stack(phis, vs)`` returns one product
-    per (iterate, vector) pair, row j being ``hvp(phis[j], vs[j])``; its
-    default is a plain loop over ``hvp`` (no stacking, no copies), and a family
-    whose products batch well overrides it. ``full_hessian`` is optional and
-    only available for families with an explicit Hessian.
+    ``hvp(phi, v)`` takes one point and one direction, each of shape (d,), or
+    B x d stacks of both, and returns H(phi[j]) v[j] in row j; every row equals
+    the single-pair product bit for bit. ``full_hessian`` is optional and only
+    available for families with an explicit Hessian.
     """
 
     dim: int
@@ -70,14 +69,17 @@ class TaskObjective(abc.ABC):
     @abc.abstractmethod
     def gradient(self, phi) -> np.ndarray: ...
 
-    def hvp(self, phi, v) -> np.ndarray:
-        return hvp_finite_difference(self, phi, v)
-
-    def hvp_stack(self, phis, vs):
-        return [self.hvp(p, v) for p, v in zip(phis, vs)]
+    @abc.abstractmethod
+    def hvp(self, phi, v) -> np.ndarray: ...
 
     def full_hessian(self, phi) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no explicit Hessian")
+
+
+def _matvec(m, v):
+    # m @ v for one vector, row by row for a stack: each row is the same gemv as
+    # for one vector, where a 2-D gemm (V @ M.T) would differ in the last bits
+    return np.matmul(m, v[..., None])[..., 0]
 
 
 class QuadraticTask(TaskObjective):
@@ -102,7 +104,7 @@ class QuadraticTask(TaskObjective):
         return self.a @ as_vector(phi) + self.b
 
     def hvp(self, phi, v) -> np.ndarray:
-        return self.a @ as_vector(v)
+        return _matvec(self.a, as_vectors(v))
 
     def full_hessian(self, phi) -> np.ndarray:
         return self.a
@@ -142,9 +144,8 @@ class LogisticTask(TaskObjective):
         return self.x @ (self._sigmoid(z) - self.y) / self.n
 
     def hvp(self, phi, v) -> np.ndarray:
-        z = self.x.T @ as_vector(phi)
-        s = self._sigmoid(z)
-        return self.x @ ((s * (1.0 - s)) * (self.x.T @ as_vector(v))) / self.n
+        s = self._sigmoid(_matvec(self.x.T, as_vectors(phi)))
+        return _matvec(self.x, (s * (1.0 - s)) * _matvec(self.x.T, as_vectors(v))) / self.n
 
     def full_hessian(self, phi) -> np.ndarray:
         z = self.x.T @ as_vector(phi)
@@ -199,10 +200,8 @@ class MlpObjective(TaskObjective):
     Gradients are exact (hand backprop). HVPs are exact too: Pearlmutter's
     R-op (forward-over-reverse), which differentiates the backprop pass along
     the direction v, at about the cost of two gradients and with no step size.
-    There is one R-op, batched: ``hvp_stack`` runs it once on B x d stacks of
-    iterates and directions, every array carrying a leading batch axis, and
-    ``hvp`` runs it on one pair without that axis. Each row of a stack equals
-    the single-pair product bit for bit.
+    On B x d stacks every array of the R-op carries a leading batch axis, and
+    each row equals the single-pair product bit for bit.
     """
 
     def __init__(self, x, y):
@@ -241,13 +240,7 @@ class MlpObjective(TaskObjective):
         return np.concatenate([dw1, db1, dw2.ravel(), db2, dw3, db3])
 
     def hvp(self, theta, v) -> np.ndarray:
-        return self._r_op(as_vector(theta), as_vector(v))
-
-    def hvp_stack(self, phis, vs) -> np.ndarray:
-        return self._r_op(as_matrix(phis), as_matrix(vs))
-
-    def _r_op(self, theta, v):
-        # theta and v are one vector each, or B x d stacks of matching rows
+        theta, v = as_vectors(theta), as_vectors(v)
         p, h1, h2, yhat = self._forward(theta)
         q = _unpack(v)
         n = self.x.shape[0]

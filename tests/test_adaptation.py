@@ -28,6 +28,9 @@ class _NanAtStep(TaskObjective):
             return np.full(2, np.nan)
         return np.ones(2)
 
+    def hvp(self, phi, v):
+        return np.zeros_like(v)
+
 
 class TestGdAdapt:
     def test_hand_iteration(self):

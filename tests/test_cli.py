@@ -56,7 +56,7 @@ class TestBounds:
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            assert main(["bounds", "--seed", "3", "--out", str(out)]) == 0
+            assert main(["bounds", "--out", str(out)]) == 0
         assert (out_a / "bounds.csv").read_bytes() == (out_b / "bounds.csv").read_bytes()
         assert (out_a / "bounds_theorem3.svg").read_bytes() == (out_b / "bounds_theorem3.svg").read_bytes()
 
@@ -159,6 +159,17 @@ class TestMetatrain:
         assert "diverge" in err and "task 0" in err
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_meta_loss_exits_two(self, tmp_path, capsys):
+        # K = 1 keeps the iterate finite; the validation loss overflows to Inf
+        args = [
+            "metatrain", "--family", "quadratic", "--estimator", "imaml", "--alpha", "1e300",
+            "--K", "1", "--iters", "2", "--batch", "2", "--out", str(tmp_path / "x"),
+        ]
+        assert main(args) == 2
+        assert "task 0: validation loss is NaN/Inf" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "train.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_sweep_divergence_names_batch_task_and_step(self, tmp_path, capsys):
         # K = 1 keeps the iterate finite, so the cascade is the first to overflow
         args = [
@@ -225,6 +236,19 @@ class TestCost:
         assert (rows[("full", "5")]["hvp_total"], rows[("full", "5")]["sequential_depth"]) == ("5", "5")
         assert rows[("full", "5")]["peak_live_vectors"] == "1"
         assert [rows[("binom", "0")][c] for c in ("hvp_total", "sequential_depth", "peak_live_vectors")] == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "cost"])
+def test_seed_rejected_where_nothing_is_random(tmp_path, capsys, command):
+    # bounds and cost draw nothing at random, so they take no seed, by flag or config file
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "y")]) == 1
+    assert "unknown key 'seed'" in capsys.readouterr().err
 
 
 def resolved(out):

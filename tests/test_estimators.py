@@ -17,6 +17,7 @@ from metagrad import (
     CostCounters,
     DivergenceError,
     EstimatorConfig,
+    LogisticTask,
     MlpObjective,
     QuadraticTask,
     Trajectory,
@@ -185,18 +186,30 @@ class TestBinom:
         assert binom_meta_gradient(traj, g, 0).cost == CostCounters(0, 0, 0)
 
     def test_one_stacked_call_per_stage(self, monkeypatch):
-        widths = []
-        stack = MlpObjective.hvp_stack
+        # every family serves a stage of K - L + 1 = 4 HVPs with one hvp call on 4 x d stacks
+        shapes = []
+        for cls in (QuadraticTask, LogisticTask, MlpObjective):
+            def counting(self, phi, v, hvp=cls.hvp):
+                shapes.append((np.shape(phi)[:-1], np.shape(v)[:-1]))
+                return hvp(self, phi, v)
 
-        def counting(self, phis, vs):
-            widths.append(len(vs))
-            return stack(self, phis, vs)
+            monkeypatch.setattr(cls, "hvp", counting)
+        rng = np.random.default_rng(13)
+        for make in (quadratic_trajectory, logistic_trajectory, sine_trajectory):
+            traj, g = make(rng, K=5)
+            shapes.clear()
+            mg = binom_meta_gradient(traj, g, 2)
+            assert shapes == [((4,), (4,)), ((4,), (4,))]
+            assert mg.cost == CostCounters(8, 2, 4)
 
-        monkeypatch.setattr(MlpObjective, "hvp_stack", counting)
-        traj, g = sine_trajectory(np.random.default_rng(13), K=5)
-        mg = binom_meta_gradient(traj, g, 2)
-        assert widths == [4, 4]
-        assert mg.cost == CostCounters(8, 2, 4)
+    def test_rescale_alpha_keeps_alpha_at_L_equal_K(self):
+        # 0.2 * K / K is not 0.2 at K = 3 and 6, so L = K must not take the rescaled form
+        rng = np.random.default_rng(14)
+        for K in (3, 6):
+            assert 0.2 * K / K != 0.2
+            traj, g = quadratic_trajectory(rng, K=K, alpha=0.2)
+            got = binom_meta_gradient(traj, g, K, rescale_alpha=True).estimate
+            assert np.array_equal(got, full_meta_gradient(traj, g).estimate)
 
     def test_rescale_alpha(self):
         rng = np.random.default_rng(12)

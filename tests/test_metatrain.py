@@ -74,6 +74,15 @@ class TestMetaStep:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match=r"^task 1: "):
             meta_step(np.ones(2), tasks, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_validation_loss_names_the_task(self):
+        # task 1's iterate stays finite, but its validation loss overflows to Inf
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="fo"), meta_batch=3)
+        far = TaskPair(QuadraticTask(np.zeros((2, 2)), np.full(2, -1e200)), QuadraticTask(np.eye(2), np.zeros(2)))
+        tasks = [TaskPair(_zero_task(), _zero_task()), far, far]
+        with pytest.raises(DivergenceError, match=r"^task 1: validation loss is NaN/Inf$"):
+            meta_step(np.ones(2), tasks, cfg)
+
     def test_empty_batch_rejected(self):
         cfg = MetaTrainConfig()
         with pytest.raises(ValueError):
@@ -249,7 +258,7 @@ def _errors_one_cascade_per_estimate(traj, g, l_values, rescale_alpha):
 class TestEstimatorErrors:
     @pytest.mark.parametrize("family", ["quadratic", "logistic", "sine", "prescribed"])
     def test_equal_to_one_cascade_per_estimate(self, family):
-        # quadratic's alpha = 0.2 puts L = K in its own cascade under rescaling at K = 3, 6
+        # quadratic's alpha = 0.2 has K * alpha / K != alpha at K = 3, 6, where L = K keeps alpha
         make = {"quadratic": quadratic_trajectory, "logistic": logistic_trajectory,
                 "sine": sine_trajectory, "prescribed": prescribed_trajectory}[family]
         rng = np.random.default_rng(43)
@@ -274,18 +283,17 @@ class TestEstimatorErrors:
                 assert (sum(stage_sizes), len(stage_sizes)) == (L * (K - L + 1) + (K - L), K)
 
     def test_counted_hvps_with_rescale(self, stage_sizes):
-        # L = 0 and the exact product share the base alpha; every other L runs its own
-        # cascade, L = K too where K * alpha / K does not round back to alpha
+        # L = 0, L = K and the exact product share the base alpha; every other L runs its
+        # own cascade, also at alpha = 0.2, K = 3 and 6, where K * alpha / K is not alpha
         rng = np.random.default_rng(45)
         for alpha in (0.25, 0.2):
             for K in range(1, 7):
                 traj, g = prescribed_trajectory(rng, d=2, K=K, alpha=alpha)
-                split = alpha * K / K != alpha
-                assert split == (alpha == 0.2 and K in (3, 6))
+                assert (alpha * K / K != alpha) == (alpha == 0.2 and K in (3, 6))
                 for l_values in (list(range(K + 1)), [K], [0, K // 2, 0]):
                     stage_sizes.clear()
                     _estimator_errors(traj, g, l_values, True)
-                    own = [L for L in set(l_values) if 0 < L < K or (L == K and split)]
+                    own = [L for L in set(l_values) if 0 < L < K]
                     assert sum(stage_sizes) == K + sum(L * (K - L + 1) for L in own)
                     assert len(stage_sizes) == K + sum(own)
 
