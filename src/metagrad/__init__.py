@@ -67,13 +67,13 @@ from .objectives import (
     QuadraticTask,
     SinusoidTask,
     TaskObjective,
-    hvp_finite_difference,
     mlp_init,
     random_logistic,
     random_quadratic,
     random_spd,
     sample_sinusoid_batch,
     sharpness_sequence,
+    stack_objectives,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Inner-loop gradient descent and trajectory recording.
 
 Adaptation runs phi^{k+1} = phi^k - alpha * grad(phi^k) from phi^0 = theta and
-records every iterate. The recursion is inherently serial per task;
-independent tasks can adapt concurrently, and a finished trajectory is
-immutable and safe to share.
+records every iterate. Tasks are independent: for B stacked tasks phi is B x d,
+each step one gradient call, row t bit for bit task t's run. A row that meets
+NaN/Inf keeps its last finite iterate while the rest run on, and the error
+names the lowest failing row. Finished trajectories are immutable.
 """
 
 from dataclasses import dataclass
@@ -11,20 +12,35 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vectors
 from .objectives import PrescribedHessianSequence, TaskObjective
 
 
 class DivergenceError(RuntimeError):
     """Raised when an iteration produces NaN/Inf; the message names the step."""
+    row = 0  # the failing task row of a stacked run
+
+
+def _record(failures: dict, x, message: str) -> dict:
+    """Note ``message`` as the first failure of every row of x holding a NaN/Inf."""
+    for t in np.flatnonzero(~np.isfinite(x).all(axis=-1)):
+        failures.setdefault(int(t), message)
+    return failures
+
+
+def _raise_lowest(failures: dict):
+    if failures:
+        exc = DivergenceError(failures[min(failures)])
+        exc.row = min(failures)
+        raise exc
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A recorded K-step descent path for one task.
+    """A recorded K-step descent path for one task, or for B stacked tasks.
 
-    ``iterates`` holds phi^0..phi^K. HVPs are replayed on demand through
-    :meth:`hvp_stage` (one product per iterate of a run of consecutive steps),
+    ``iterates`` holds phi^0..phi^K, each (d,) or B x d. HVPs are replayed on
+    demand through :meth:`hvp_stage` (one product per iterate of a run of consecutive steps),
     either via the backing objective or via a prescribed per-step Hessian
     sequence; :meth:`hvp` is its one-product case.
     """
@@ -40,7 +56,7 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.iterates[0].shape[0]
+        return self.iterates[0].shape[-1]
 
     @property
     def final(self) -> np.ndarray:
@@ -59,47 +75,42 @@ class Trajectory:
             return [h @ v for h, v in zip(self.step_hessians[lo:hi], vs)]
         return self.objective.hvp(self.iterates[lo:hi], vs)
 
-    def step_hessian(self, k: int) -> np.ndarray:
-        """Explicit Hessian at iterate k, when one is available."""
-        if self.step_hessians is not None:
-            return self.step_hessians[k]
-        return self.objective.full_hessian(self.iterates[k])
-
 
 def gd_adapt(obj: TaskObjective, theta, alpha: float, K: int) -> Trajectory:
-    """Run K gradient-descent steps from theta at constant step size alpha."""
+    """Run K gradient-descent steps from theta (B x d for B stacked tasks) at step size alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if K < 1:
         raise ValueError("K must be >= 1")
-    phi = as_vector(theta)
-    if phi.shape[0] != obj.dim:
-        raise ValueError(f"theta has dimension {phi.shape[0]}, objective expects {obj.dim}")
-    iterates = [phi]
+    phi = as_vectors(theta)
+    if phi.shape[-1] != obj.dim:
+        raise ValueError(f"theta has dimension {phi.shape[-1]}, objective expects {obj.dim}")
+    iterates, failures = [phi], {}
     for k in range(K):
         try:
             g = obj.gradient(phi)
         except ValueError as exc:
             raise DivergenceError(f"gradient evaluation failed at step {k}: {exc}") from exc
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"training gradient diverged (NaN/Inf) at step {k}")
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = phi - alpha * g
-        if not np.all(np.isfinite(phi)):
-            raise DivergenceError(f"iterate diverged (NaN/Inf) at step {k}")
+            nxt = phi - alpha * g
+        if not np.isfinite(nxt).all():  # a NaN/Inf gradient always leaves one in the iterate
+            _record(failures, g, f"training gradient diverged (NaN/Inf) at step {k}")
+            _record(failures, nxt, f"iterate diverged (NaN/Inf) at step {k}")
+            nxt = np.where(np.isfinite(nxt).all(axis=-1, keepdims=True), nxt, phi)
+        phi = nxt
         iterates.append(phi)
+    _raise_lowest(failures)
     return Trajectory(iterates=tuple(iterates), alpha=float(alpha), objective=obj)
 
 
 def validation_gradient(val_obj: TaskObjective, traj: Trajectory) -> np.ndarray:
-    """Gradient of the validation loss at the final iterate."""
+    """Gradient of the validation loss at the final iterate (per row of a stack)."""
     if val_obj.dim != traj.dim:
         raise ValueError(
             f"validation objective dimension {val_obj.dim} != trajectory dimension {traj.dim}"
         )
     g = val_obj.gradient(traj.final)
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError("validation gradient is NaN/Inf")
+    _raise_lowest(_record({}, g, "validation gradient is NaN/Inf"))
     return g
 
 

@@ -29,14 +29,13 @@ all of them off that one pass. Every cost is counted from the stage calls
 the cascade makes. ``binom_oracle`` enumerates the expansion tuple by tuple
 and is the deliberately unoptimized ground truth the cascade is tested against.
 
-Every estimator is a pure function of (trajectory, g, parameters), so
-invocations are safe to run concurrently across tasks. Within a binom stage
-the HVPs are independent, so each stage runs as one stacked call
-(``Trajectory.hvp_stage``, one ``hvp`` call on B x d stacks of the stage's
-iterates and vectors), and each row of it equals the single-vector HVP bit
-for bit. The stage barrier and the fixed descending-index summation order
-are the only synchronization contract, so the result equals the
-one-HVP-at-a-time schedule bit for bit.
+Every estimator is a pure function of (trajectory, g, parameters); both may be
+stacked over B tasks, giving a B x d estimate and each task's own
+``CostCounters``. A stage's HVPs are independent, so each stage is one
+``hvp`` call on width x B rows, each bit for bit the single HVP. The fixed
+descending-index summation order and stage barrier are the only contract, so
+the result equals the one-HVP-at-a-time, one-task-at-a-time schedule bit for
+bit; a NaN/Inf names the lowest failing task row (``DivergenceError.row``).
 """
 
 import itertools
@@ -45,14 +44,14 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptation import DivergenceError, Trajectory
+from .adaptation import Trajectory, _raise_lowest, _record
 from .linalg import conjugate_gradient
-from .objectives import TaskObjective
+from .objectives import TaskObjective, _dot
 
 
 @dataclass(frozen=True)
 class CostCounters:
-    """Logical cost of one estimate.
+    """Logical cost of one estimate (of each task's, for a stacked one).
 
     ``hvp_total`` counts HVP evaluations actually performed,
     ``sequential_depth`` the longest chain of HVPs that must run in order,
@@ -77,8 +76,7 @@ class MetaGradient:
     converged: bool = True  # only the CG-based estimate can fail to converge
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.estimate)):
-            raise DivergenceError(f"{self.kind} estimate contains NaN/Inf")
+        _raise_lowest(_record({}, self.estimate, f"{self.kind} estimate contains NaN/Inf"))
 
 
 ESTIMATOR_KINDS = (
@@ -153,11 +151,13 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
     the window is one entry wide and the cascade is the backprop loop.
 
     A NaN/Inf anywhere in a window reaches its first entry through the running
-    sum, so that one entry is checked per stage. The costs are counted from
-    the calls made: the vectors sent, the calls, and the widest window sent.
+    sum, so that one entry is checked per stage; a failing row is zeroed (hvp
+    rejects NaN) and the lowest one raised at the end, naming its stage and
+    highest non-finite step. The costs are counted per row from the calls
+    made: the vectors sent, the calls, and the widest window sent.
     """
     v = [g] * (C + 1)
-    estimates, edge, sent = {}, [g], []
+    estimates, edge, sent, failures = {}, [g], [], {}
     for m in orders:
         width = C - m + 1
         v = v[len(v) - width:]
@@ -171,11 +171,14 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
                 run = run - alpha * u[j]
                 nxt[j] = run
             if not np.isfinite(run).all():
-                bad = next(j for j in range(width - 1, -1, -1) if not np.isfinite(nxt[j]).all())
-                raise DivergenceError(f"NaN/Inf at cascade stage {l - 1}, step k={lo + bad}")
+                for j in range(width - 1, -1, -1):
+                    _record(failures, nxt[j], f"NaN/Inf at cascade stage {l - 1}, step k={lo + j}")
+                    nxt[j][~np.isfinite(nxt[j]).all(axis=-1)] = 0.0
             v = nxt
+            del u  # so the next stage call does not hold this stage's products too
             edge.append(v[-1])
         estimates[m] = v[0]
+    _raise_lowest(failures)
     return estimates, edge, CostCounters(sum(sent), len(sent), max(sent, default=0))
 
 
@@ -291,29 +294,26 @@ def imaml_meta_gradient(
 
 
 def reptile_direction(theta, finals) -> np.ndarray:
-    """Mean displacement (1/T) sum_t (phi_t^K - theta); the caller applies eps."""
-    theta = np.asarray(theta, dtype=float)
-    finals = [np.asarray(f, dtype=float) for f in finals]
-    if not finals:
-        raise ValueError("need at least one adapted parameter")
-    for f in finals:
-        if f.shape != theta.shape:
-            raise ValueError("dimension mismatch between theta and adapted parameters")
-    return sum(f - theta for f in finals) / len(finals)
+    """Mean displacement (1/T) sum_t (phi_t^K - theta) over T x d finals; the caller applies eps."""
+    theta, finals = np.asarray(theta, dtype=float), np.asarray(finals, dtype=float)
+    if len(finals) == 0 or finals.shape[1:] != theta.shape:
+        raise ValueError(f"need T >= 1 adapted parameters of shape {theta.shape}, got {finals.shape}")
+    return sum(finals - theta) / len(finals)
 
 
 def estimation_error(estimate, exact) -> float:
-    """l2 norm of the difference between two meta-gradients."""
+    """l2 norm of the difference between two meta-gradients (per row of stacks)."""
     a = estimate.estimate if isinstance(estimate, MetaGradient) else np.asarray(estimate, dtype=float)
     b = exact.estimate if isinstance(exact, MetaGradient) else np.asarray(exact, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    diff = a - b
+    return np.sqrt(_dot(diff, diff))  # np.linalg.norm bit for bit; norm(axis=-1) is not
 
 
 def estimate(traj: Trajectory, g, cfg: EstimatorConfig) -> MetaGradient:
     """Dispatch on cfg.kind. Reptile is excluded: it is a meta-update rule
-    over adapted parameters, not a per-task gradient estimate."""
+    over adapted parameters, not a per-task gradient estimate. imaml takes one task."""
     if cfg.kind == "full":
         return full_meta_gradient(traj, g)
     if cfg.kind == "fo":

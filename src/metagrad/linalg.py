@@ -31,8 +31,8 @@ def as_vector(v) -> np.ndarray:
 
 
 def as_vectors(v) -> np.ndarray:
-    """Coerce one vector or a B x d stack of vectors to a finite float64 array."""
-    return _finite(v, (1, 2), "a vector or a stack of vectors", "vector")
+    """Coerce one vector or a stack of them (task and/or stage axes) to a finite float64 array."""
+    return _finite(v, (1, 2, 3), "a vector or a stack of vectors", "vector")
 
 
 def as_matrix(m) -> np.ndarray:

@@ -5,9 +5,10 @@ each task's meta-gradient with the configured estimator, and applies either
 the gradient rule theta' = theta - beta * mean(estimates) or the
 interpolation rule theta' = theta + eps * mean(phi^K - theta).
 
-Tasks within a batch adapt and estimate independently (they could run
-concurrently); the meta-update is a single reduction in fixed task order, so
-records are bitwise-reproducible given (seed, config).
+Each phase runs once for the batch on a leading task axis (imaml solves task by
+task). Row t is bit for bit task t's single-task run, a failure names the task a
+task-by-task run stops at, and the meta-update is a single reduction in fixed
+task order, so records are bitwise-reproducible given (seed, config).
 """
 
 import math
@@ -17,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .adaptation import DivergenceError, Trajectory, gd_adapt, validation_gradient
+from .adaptation import DivergenceError, Trajectory, _raise_lowest, _record, gd_adapt, validation_gradient
 from .csvtable import csv_text, row_values
 from .estimators import (
     EstimatorConfig,
@@ -26,6 +27,7 @@ from .estimators import (
     _effective_alpha,
     estimate,
     estimation_error,
+    imaml_meta_gradient,
     reptile_direction,
 )
 from .linalg import CGBreakdownError
@@ -35,6 +37,7 @@ from .objectives import (
     random_logistic,
     random_quadratic,
     sample_sinusoid_batch,
+    stack_objectives,
 )
 
 FAMILIES = ("quadratic", "logistic", "sinusoid")
@@ -124,11 +127,24 @@ def train_csv(rows: Sequence[TrainRecordRow]) -> str:
     return csv_text(TRAIN_CSV_HEADER, map(row_values, rows))
 
 
+def _lowest_failure(*calls):
+    """Run every call; return the results, or re-raise the lowest task row's failure (ties: the earlier call's)."""
+    results, failures = [], []
+    for call in calls:
+        try:
+            results.append(call())
+        except (DivergenceError, CGBreakdownError) as exc:
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: getattr(exc, "row", 0))
+    return results
+
+
 def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alpha: bool):
     """[(e_fo, e_tr, e_bin) per L]: errors of the first-order, truncated and
-    expansion estimates against the exact product, read off one cascade per
-    task and effective alpha. The base-alpha cascade runs to order K, so its
-    right edge holds the exact and every truncated product."""
+    expansion estimates against the exact product (per task of a stack), read
+    off one cascade per effective alpha. The base-alpha cascade runs to order
+    K, so its right edge holds the exact and every truncated product."""
     K = traj.K
     for L in l_values:
         _check_L(L, K)
@@ -136,7 +152,8 @@ def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alph
     groups = {traj.alpha: {K}}
     for L in l_values:
         groups.setdefault(_effective_alpha(traj, L, rescale_alpha), set()).add(L)
-    runs = {a: _cascade(traj.hvp_stage, 0, K, sorted(ls), a, g) for a, ls in groups.items()}
+    runs = dict(zip(groups, _lowest_failure(
+        *(lambda a=a, ls=ls: _cascade(traj.hvp_stage, 0, K, sorted(ls), a, g) for a, ls in groups.items()))))
     products = runs[traj.alpha][1]
     exact = products[K]
     e_fo = estimation_error(g, exact)
@@ -149,51 +166,66 @@ def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alph
 
 @contextmanager
 def _failure_prefix(where: str):
-    """Re-raise a numerical failure in the block as its own type, prefixed with ``where``."""
+    """Re-raise a numerical failure in the block as its own type, prefixed with ``where``
+    (a ``{}`` in it names the failing task row)."""
     try:
         yield
     except (DivergenceError, CGBreakdownError) as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise type(exc)(f"{where.format(getattr(exc, 'row', 0))}: {exc}") from exc
+
+
+def _adapt(tasks: Sequence[TaskPair], theta, cfg: MetaTrainConfig):
+    """Adapt the batch as one stack: (trajectory, validation gradients, stacked validation objective)."""
+    val = stack_objectives([pair.val for pair in tasks])
+    try:
+        traj = gd_adapt(stack_objectives([p.train for p in tasks]), np.tile(theta, (len(tasks), 1)), cfg.alpha, cfg.K)
+    except DivergenceError as exc:
+        if exc.row:  # an earlier task whose validation gradient fails comes first
+            _adapt(tasks[:exc.row], theta, cfg)
+        raise
+    return traj, validation_gradient(val, traj), val
+
+
+def _estimates(tasks: Sequence[TaskPair], traj: Trajectory, g, est: EstimatorConfig):
+    """(B x d estimates, HVPs spent): one stacked estimate, or imaml's CG task by task."""
+    if est.kind != "imaml":
+        mg = estimate(traj, g, est)
+        return mg.estimate, len(tasks) * mg.cost.hvp_total
+    mgs = []
+    for t, pair in enumerate(tasks):
+        try:
+            mgs.append(imaml_meta_gradient(pair.train, traj.final[t], g[t], est.imaml_lambda, est.cg_tol, est.cg_iters))
+        except (DivergenceError, CGBreakdownError) as exc:
+            exc.row = t
+            raise
+    return np.array([mg.estimate for mg in mgs]), sum(mg.cost.hvp_total for mg in mgs)
 
 
 def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig):
-    """One outer update over a task batch; returns (theta', TrainRecordRow).
-
-    The iteration field of the returned row is left at 0; the caller stamps it.
-    """
+    """One outer update over a one-family task batch, run as one stack; returns
+    (theta', TrainRecordRow). The row's iteration is left at 0; the caller stamps it."""
     if not tasks:
         raise ValueError("task batch must be non-empty")
-    # adapt every task before estimating any: per-task interleaving ran sine binom steps ~5% slower
-    trajectories, grads, mgs, errs = [], [], [], []
-    for t, pair in enumerate(tasks):
-        with _failure_prefix(f"task {t}"):
-            trajectories.append(gd_adapt(pair.train, theta, cfg.alpha, cfg.K))
-            grads.append(validation_gradient(pair.val, trajectories[-1]))
-    losses = [pair.val.value(traj.final) for pair, traj in zip(tasks, trajectories)]
-    for t, loss in enumerate(losses):
-        if not math.isfinite(loss):
-            raise DivergenceError(f"task {t}: validation loss is NaN/Inf")
+    est = cfg.estimator
+    with _failure_prefix("task {}"):
+        traj, g, val = _adapt(tasks, theta, cfg)
+        losses = val.value(traj.final)
+        _raise_lowest(_record({}, losses[:, None], "validation loss is NaN/Inf"))
+        (estimates, hvp_total), errs = _lowest_failure(
+            lambda: (None, 0) if est.kind == "reptile" else _estimates(tasks, traj, g, est),
+            lambda: _estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] if cfg.track_errors else None)
     meta_loss = float(np.mean(losses))
-    for t, (traj, g) in enumerate(zip(trajectories, grads)):
-        with _failure_prefix(f"task {t}"):
-            if cfg.estimator.kind != "reptile":
-                mgs.append(estimate(traj, g, cfg.estimator))
-            if cfg.track_errors:
-                errs.append(_estimator_errors(traj, g, [cfg.estimator.L], cfg.estimator.rescale_alpha)[0])
-    hvp_total = sum(mg.cost.hvp_total for mg in mgs)
 
-    if cfg.estimator.kind == "reptile":
-        direction = reptile_direction(theta, [traj.final for traj in trajectories])
-        theta_next = theta + cfg.estimator.reptile_eps * direction
+    if est.kind == "reptile":
+        direction = reptile_direction(theta, traj.final)
+        theta_next = theta + est.reptile_eps * direction
         grad_norm = float(np.linalg.norm(direction))
     else:
-        mean_estimate = sum(mg.estimate for mg in mgs) / len(mgs)
+        mean_estimate = sum(estimates) / len(tasks)
         theta_next = theta - cfg.beta * mean_estimate
         grad_norm = float(np.linalg.norm(mean_estimate))
 
-    err_fo = err_tr = err_bin = math.nan
-    if errs:
-        err_fo, err_tr, err_bin = (float(np.mean(column)) for column in zip(*errs))
+    err_fo, err_tr, err_bin = (float(np.mean(column)) for column in errs) if errs else (math.nan,) * 3
 
     row = TrainRecordRow(0, meta_loss, grad_norm, err_fo, err_tr, err_bin, hvp_total)
     return theta_next, row
@@ -231,10 +263,10 @@ AVERAGED_CSV_HEADER = "L,err_fo,err_tr,err_bin"
 def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches: int):
     """Measure actual estimator errors at a fixed prior; no outer updates.
 
-    For every batch: adapt each task from the same theta, take the exact
-    product as the reference, and record the batch-mean errors of the
-    first-order, truncated, and expansion estimates at each L. Every estimate
-    comes off one cascade per task and effective alpha (see
+    For every batch: adapt the tasks from the same theta as one stack, take
+    the exact product as the reference, and record the batch-mean errors of
+    the first-order, truncated, and expansion estimates at each L. Every
+    estimate comes off one stacked cascade per effective alpha (see
     ``_estimator_errors``). Returns (per_batch_rows, averaged_rows).
     """
     if batches < 1:
@@ -248,14 +280,12 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
     per_batch = []
     sums = [np.zeros(3) for _ in l_values]  # by position, so a repeated L is not summed twice
     for b in range(batches):
-        errs = []  # per task, one (e_fo, e_tr, e_bin) per L
-        for t, pair in enumerate(sample_task_batch(cfg, task_rng)):
-            with _failure_prefix(f"batch {b}, task {t}"):
-                traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
-                g = validation_gradient(pair.val, traj)
-                errs.append(_estimator_errors(traj, g, l_values, cfg.estimator.rescale_alpha))
-        for L, per_task, total in zip(l_values, zip(*errs), sums):
-            mean = np.mean(np.array(per_task), axis=0)
+        tasks = sample_task_batch(cfg, task_rng)
+        with _failure_prefix(f"batch {b}, task {{}}"):
+            traj, g, _ = _adapt(tasks, theta, cfg)
+            errs = _estimator_errors(traj, g, l_values, cfg.estimator.rescale_alpha)
+        for L, per_task, total in zip(l_values, errs, sums):
+            mean = np.mean(np.stack(per_task, axis=1), axis=0)  # tasks x (e_fo, e_tr, e_bin)
             total += mean
             per_batch.append(ErrorRow(b, L, float(mean[0]), float(mean[1]), float(mean[2])))
 

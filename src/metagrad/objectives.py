@@ -1,7 +1,9 @@
 """Smooth task objectives: value, gradient, and Hessian-vector products.
 
 A task objective exposes ``value``, ``gradient`` and ``hvp``; ``hvp`` takes one
-(point, direction) pair or B x d stacks of them. Concrete families:
+(point, direction) pair or B x d stacks of them. ``stack_objectives`` puts B
+tasks on a leading axis (A as B x d x d, X as B x d x n, sine data as B x n);
+each method takes B x d points, task t's result bit for bit in row t. Families:
 
 * :class:`QuadraticTask` -- closed-form constant-Hessian oracle family.
 * :class:`LogisticTask` -- convex NLL with an analytic HVP.
@@ -29,36 +31,13 @@ INPUT_RANGE = (-5.0, 5.0)
 MLP_HIDDEN = 40  # regressor is 1 -> 40 -> 40 -> 1 with tanh activations
 
 
-def hvp_finite_difference(obj, phi, v) -> np.ndarray:
-    """Central-difference Hessian-vector product from two gradient calls.
-
-    Differences along the unit direction u = v/||v|| and rescales by ||v||,
-    so the result is exactly homogeneous in v. When ||v|| underflows, v is
-    scaled by max|v| instead; a zero v gives a zero product. The step is
-    eps = 1e-5 * (1 + ||phi||), balancing truncation against round-off. It is
-    the reference the analytic products are tested against.
-    """
-    phi = as_vector(phi)
-    v = as_vector(v)
-    eps = 1e-5 * (1.0 + float(np.linalg.norm(phi)))
-    vnorm = float(np.linalg.norm(v))
-    if vnorm < 1e-150:
-        vnorm = float(np.max(np.abs(v), initial=0.0))
-        if vnorm == 0.0:
-            return np.zeros_like(v)
-    u = v / vnorm
-    gp = obj.gradient(phi + eps * u)
-    gm = obj.gradient(phi - eps * u)
-    return vnorm * (gp - gm) / (2.0 * eps)
-
-
 class TaskObjective(abc.ABC):
     """Contract for a smooth loss: value, gradient, HVP at any point.
 
     ``hvp(phi, v)`` takes one point and one direction, each of shape (d,), or
     B x d stacks of both, and returns H(phi[j]) v[j] in row j; every row equals
-    the single-pair product bit for bit. ``full_hessian`` is optional and only
-    available for families with an explicit Hessian.
+    the single-pair product bit for bit (phi and v of two shapes raise
+    ``ValueError``). ``full_hessian`` exists for explicit-Hessian families.
     """
 
     dim: int
@@ -82,6 +61,29 @@ def _matvec(m, v):
     return np.matmul(m, v[..., None])[..., 0]
 
 
+def _dot(p, q):
+    # p @ q per row: the same ddot as for one pair, where einsum or (p * q).sum(-1) differ
+    return (p[..., None, :] @ q[..., :, None])[..., 0, 0]
+
+
+def _hvp_args(phi, v):
+    phi, v = as_vectors(phi), as_vectors(v)
+    if phi.shape != v.shape:
+        raise ValueError(f"hvp takes phi and v of one shape, (d,) or stacked, got {phi.shape} and {v.shape}")
+    return phi, v
+
+
+def stack_objectives(objs) -> TaskObjective:
+    """One objective over a leading task axis from objectives of one family and
+    shape: row t of its results is objs[t]'s. The data is not validated again."""
+    if len({type(o) for o in objs}) != 1:
+        raise ValueError("stacked objectives must share one family")
+    stacked = object.__new__(type(objs[0]))
+    stacked.__dict__ = {name: np.stack([vars(o)[name] for o in objs]) if isinstance(value, np.ndarray) else value
+                        for name, value in vars(objs[0]).items()}
+    return stacked
+
+
 class QuadraticTask(TaskObjective):
     """Loss 0.5 * phi^T A phi + b^T phi with symmetric A."""
 
@@ -97,14 +99,14 @@ class QuadraticTask(TaskObjective):
         self.dim = b.shape[0]
 
     def value(self, phi) -> float:
-        phi = as_vector(phi)
-        return float(0.5 * phi @ self.a @ phi + self.b @ phi)
+        phi = as_vectors(phi)
+        return _dot(((0.5 * phi)[..., None, :] @ self.a)[..., 0, :], phi) + _dot(self.b, phi)
 
     def gradient(self, phi) -> np.ndarray:
-        return self.a @ as_vector(phi) + self.b
+        return _matvec(self.a, as_vectors(phi)) + self.b
 
     def hvp(self, phi, v) -> np.ndarray:
-        return _matvec(self.a, as_vectors(v))
+        return _matvec(self.a, _hvp_args(phi, v)[1])
 
     def full_hessian(self, phi) -> np.ndarray:
         return self.a
@@ -135,17 +137,19 @@ class LogisticTask(TaskObjective):
         return 0.5 * (1.0 + np.tanh(0.5 * z))
 
     def value(self, phi) -> float:
-        z = self.x.T @ as_vector(phi)
+        z = _matvec(self.x.swapaxes(-1, -2), as_vectors(phi))
         # log(1 + e^z) - y z, evaluated stably
-        return float(np.mean(np.logaddexp(0.0, z) - self.y * z))
+        return np.mean(np.logaddexp(0.0, z) - self.y * z, axis=-1)
 
     def gradient(self, phi) -> np.ndarray:
-        z = self.x.T @ as_vector(phi)
-        return self.x @ (self._sigmoid(z) - self.y) / self.n
+        z = _matvec(self.x.swapaxes(-1, -2), as_vectors(phi))
+        return _matvec(self.x, self._sigmoid(z) - self.y) / self.n
 
     def hvp(self, phi, v) -> np.ndarray:
-        s = self._sigmoid(_matvec(self.x.T, as_vectors(phi)))
-        return _matvec(self.x, (s * (1.0 - s)) * _matvec(self.x.T, as_vectors(v))) / self.n
+        phi, v = _hvp_args(phi, v)
+        xt = self.x.swapaxes(-1, -2)
+        s = self._sigmoid(_matvec(xt, phi))
+        return _matvec(self.x, (s * (1.0 - s)) * _matvec(xt, v)) / self.n
 
     def full_hessian(self, phi) -> np.ndarray:
         z = self.x.T @ as_vector(phi)
@@ -200,8 +204,9 @@ class MlpObjective(TaskObjective):
     Gradients are exact (hand backprop). HVPs are exact too: Pearlmutter's
     R-op (forward-over-reverse), which differentiates the backprop pass along
     the direction v, at about the cost of two gradients and with no step size.
-    On B x d stacks every array of the R-op carries a leading batch axis, and
-    each row equals the single-pair product bit for bit.
+    On stacks every R-op array has a leading batch axis; a stage x B stack runs B
+    rows per call (a dozen temporaries per row cost memory, and wider calls run
+    no faster). Each row is bit for bit the single-pair product.
     """
 
     def __init__(self, x, y):
@@ -214,7 +219,7 @@ class MlpObjective(TaskObjective):
     def _forward(self, theta):
         # theta is one parameter vector or a B x d stack; activations are h x n or B x h x n
         p = _unpack(theta)
-        a1 = p["w1"][..., None] * self.x + p["b1"][..., None]
+        a1 = p["w1"][..., None] * self.x[..., None, :] + p["b1"][..., None]
         h1 = np.tanh(a1)
         a2 = p["w2"] @ h1 + p["b2"][..., None]
         h2 = np.tanh(a2)
@@ -222,34 +227,38 @@ class MlpObjective(TaskObjective):
         return p, h1, h2, yhat
 
     def value(self, theta) -> float:
-        _, _, _, yhat = self._forward(as_vector(theta))
-        return float(np.mean((yhat - self.y) ** 2))
+        _, _, _, yhat = self._forward(as_vectors(theta))
+        return np.mean((yhat - self.y) ** 2, axis=-1)
 
     def gradient(self, theta) -> np.ndarray:
-        p, h1, h2, yhat = self._forward(as_vector(theta))
-        n = self.x.shape[0]
-        dy = 2.0 * (yhat - self.y) / n
-        dw3 = h2 @ dy
-        db3 = np.array([dy.sum()])
-        da2 = p["w3"][:, None] * dy * (1.0 - h2 * h2)
-        dw2 = da2 @ h1.T
-        db2 = da2.sum(axis=1)
-        da1 = (p["w2"].T @ da2) * (1.0 - h1 * h1)
-        dw1 = da1 @ self.x
-        db1 = da1.sum(axis=1)
-        return np.concatenate([dw1, db1, dw2.ravel(), db2, dw3, db3])
+        theta = as_vectors(theta)
+        p, h1, h2, yhat = self._forward(theta)
+        dy = 2.0 * (yhat - self.y) / self.x.shape[-1]
+        da2 = p["w3"][..., None] * dy[..., None, :] * (1.0 - h2 * h2)
+        da1 = (p["w2"].swapaxes(-1, -2) @ da2) * (1.0 - h1 * h1)
+        blocks = [_matvec(da1, self.x), da1.sum(axis=-1), (da2 @ h1.swapaxes(-1, -2)).reshape(theta.shape[:-1] + (-1,)),
+                  da2.sum(axis=-1), _matvec(h2, dy), dy.sum(axis=-1, keepdims=True)]
+        return np.concatenate(blocks, axis=-1)
 
     def hvp(self, theta, v) -> np.ndarray:
-        theta, v = as_vectors(theta), as_vectors(v)
+        theta, v = _hvp_args(theta, v)
+        if theta.ndim < 3:
+            return self._r_op(theta, v)
+        out = np.empty(v.shape)
+        for i in range(len(v)):
+            out[i] = self._r_op(theta[i], v[i])
+        return out
+
+    def _r_op(self, theta, v):
         p, h1, h2, yhat = self._forward(theta)
         q = _unpack(v)
-        n = self.x.shape[0]
+        n = self.x.shape[-1]
         dy = (2.0 * (yhat - self.y) / n)[..., None, :]
         s1 = 1.0 - h1 * h1
         s2 = 1.0 - h2 * h2
         w2t = p["w2"].swapaxes(-1, -2)
         # R-forward: directional derivatives of the activations and the residual
-        rh1 = s1 * (q["w1"][..., None] * self.x + q["b1"][..., None])
+        rh1 = s1 * (q["w1"][..., None] * self.x[..., None, :] + q["b1"][..., None])
         rh2 = s2 * (q["w2"] @ h1 + p["w2"] @ rh1 + q["b2"][..., None])
         rdy = (p["w3"][..., None, :] @ rh2 + q["w3"][..., None, :] @ h2 + q["b3"][..., None]) * (2.0 / n)
         # R-backward: each line of gradient() differentiated, with R(1 - h^2) = -2 h Rh
@@ -260,7 +269,7 @@ class MlpObjective(TaskObjective):
         rda1 = (q["w2"].swapaxes(-1, -2) @ da2 + w2t @ rda2) * s1 - 2.0 * g1 * h1 * rh1
         rdw2 = rda2 @ h1.swapaxes(-1, -2) + da2 @ rh1.swapaxes(-1, -2)
         rdw3 = rh2 @ dy.swapaxes(-1, -2) + h2 @ rdy.swapaxes(-1, -2)
-        blocks = [rda1 @ self.x, rda1.sum(axis=-1), rdw2.reshape(theta.shape[:-1] + (-1,)),
+        blocks = [_matvec(rda1, self.x), rda1.sum(axis=-1), rdw2.reshape(theta.shape[:-1] + (-1,)),
                   rda2.sum(axis=-1), rdw3[..., 0], rdy.sum(axis=-1)]
         return np.concatenate(blocks, axis=-1)
 

@@ -64,6 +64,13 @@ def sine_trajectory(rng, K=5, alpha=1e-3, shots=5):
     return traj, validation_gradient(task.val_objective(), traj)
 
 
+def step_hessian(traj, k):
+    """Explicit Hessian at iterate k: the prescribed one, or the objective's full_hessian."""
+    if traj.step_hessians is not None:
+        return traj.step_hessians[k]
+    return traj.objective.full_hessian(traj.iterates[k])
+
+
 def dense_product(traj, L=None):
     """Explicit matrix (I - a H^{K-L}) ... (I - a H^{K-1}) for oracle checks."""
     K = traj.K
@@ -72,14 +79,14 @@ def dense_product(traj, L=None):
     d = traj.dim
     out = np.eye(d)
     for k in range(K - L, K):
-        out = out @ (np.eye(d) - traj.alpha * traj.step_hessian(k))
+        out = out @ (np.eye(d) - traj.alpha * step_hessian(traj, k))
     return out
 
 
 def binom_expansion_matrix(traj, L):
     """The order-L expansion as an explicit d x d matrix: the estimators' cascade
     run on matrices seeded with the identity."""
-    hessians = [traj.step_hessian(k) for k in range(traj.K)]
+    hessians = [step_hessian(traj, k) for k in range(traj.K)]
 
     def stage(lo, ms):
         return [hessians[lo + j] @ m for j, m in enumerate(ms)]

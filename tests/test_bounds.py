@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import prescribed_trajectory
+from conftest import prescribed_trajectory, step_hessian
 from metagrad import (
     BoundInputs,
     binom_sum_collapse_check,
@@ -176,10 +176,10 @@ class TestProductDeviationBound:
         rng = np.random.default_rng(40)
         for _ in range(20):
             traj, _ = prescribed_trajectory(rng, d=3, K=6, alpha=0.2, scale=0.7)
-            H = max(np.linalg.norm(traj.step_hessian(k), 2) for k in range(6))
+            H = max(np.linalg.norm(step_hessian(traj, k), 2) for k in range(6))
             p = np.eye(3)
             for i in range(1, 7):
-                p = (np.eye(3) - traj.alpha * traj.step_hessian(6 - i)) @ p
+                p = (np.eye(3) - traj.alpha * step_hessian(traj, 6 - i)) @ p
                 bound = (1 + traj.alpha * H) ** i - 1
                 assert np.linalg.norm(p - np.eye(3), 2) <= bound + 1e-12
 

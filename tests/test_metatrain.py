@@ -1,15 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import logistic_trajectory, prescribed_trajectory, quadratic_trajectory, sine_trajectory
 from metagrad import (
+    CGBreakdownError,
+    CostCounters,
     DivergenceError,
+    ErrorRow,
     EstimatorConfig,
+    MetaGradient,
     MetaTrainConfig,
     QuadraticTask,
     TaskPair,
     Trajectory,
     binom_meta_gradient,
+    estimate,
     estimation_error,
     full_meta_gradient,
     gd_adapt,
@@ -17,6 +24,7 @@ from metagrad import (
     run_error_experiment,
     run_metatrain,
     sample_task_batch,
+    stack_objectives,
     validation_gradient,
 )
 from metagrad.estimators import _expansion
@@ -310,3 +318,190 @@ class TestEstimatorErrors:
             for rescale in (False, True):
                 with pytest.raises(DivergenceError, match=r"cascade stage \d, step k=2$"):
                     _estimator_errors(traj, np.ones(1), l_values, rescale)
+
+
+def _reference_meta_step(theta, tasks, cfg):
+    """meta_step run task by task through the single-task functions: (theta', row fields)."""
+    est = cfg.estimator
+    trajs = [gd_adapt(pair.train, theta, cfg.alpha, cfg.K) for pair in tasks]
+    grads = [validation_gradient(pair.val, traj) for pair, traj in zip(tasks, trajs)]
+    losses = [pair.val.value(traj.final) for pair, traj in zip(tasks, trajs)]
+    mgs = [] if est.kind == "reptile" else [estimate(traj, g, est) for traj, g in zip(trajs, grads)]
+    if est.kind == "reptile":
+        step = sum(traj.final - theta for traj in trajs) / len(trajs)
+        theta_next = theta + est.reptile_eps * step
+    else:
+        step = sum(mg.estimate for mg in mgs) / len(mgs)
+        theta_next = theta - cfg.beta * step
+    errs = [math.nan] * 3
+    if cfg.track_errors:
+        per_task = [_estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] for traj, g in zip(trajs, grads)]
+        errs = [float(np.mean(column)) for column in zip(*per_task)]
+    return theta_next, (float(np.mean(losses)), float(np.linalg.norm(step)), *errs,
+                        sum(mg.cost.hvp_total for mg in mgs))
+
+
+def _reference_error_experiment(cfg, l_values, batches):
+    """run_error_experiment run task by task: (per_batch_rows, averaged_rows)."""
+    init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    theta = initial_theta(cfg, np.random.default_rng(init_ss))
+    task_rng = np.random.default_rng(task_ss)
+    per_batch, sums = [], [np.zeros(3) for _ in l_values]
+    for b in range(batches):
+        errs = []
+        for pair in sample_task_batch(cfg, task_rng):
+            traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
+            errs.append(_estimator_errors(traj, validation_gradient(pair.val, traj), l_values,
+                                          cfg.estimator.rescale_alpha))
+        for L, per_task, total in zip(l_values, zip(*errs), sums):
+            mean = np.mean(np.array(per_task), axis=0)
+            total += mean
+            per_batch.append(ErrorRow(b, L, *(float(x) for x in mean)))
+    return per_batch, [ErrorRow(-1, L, *(float(x) for x in total / batches)) for L, total in zip(l_values, sums)]
+
+
+_STACK_FAMILIES = {
+    "quadratic": dict(family="quadratic", dim=4),
+    "logistic": dict(family="logistic", dim=4, alpha=0.5),
+    "sinusoid": dict(family="sinusoid", shots=5, alpha=1e-3, beta=2e-3),
+}
+
+
+class TestStackedBatch:
+    """A meta-batch runs as one stack; every output equals the task-by-task run bit for bit."""
+
+    @pytest.mark.parametrize("family", sorted(_STACK_FAMILIES))
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_meta_step_equals_task_by_task(self, family, batch):
+        for kind in ("full", "fo", "trunc", "binom", "binom-trunc", "imaml", "reptile"):
+            for track in (False, True):
+                est = EstimatorConfig(kind=kind, L=2, C=3, rescale_alpha=kind == "binom",
+                                      imaml_lambda=100.0 if family == "sinusoid" else 1.0)
+                cfg = MetaTrainConfig(estimator=est, K=4, meta_batch=batch, seed=5, track_errors=track,
+                                      **_STACK_FAMILIES[family])
+                rng = np.random.default_rng(6)
+                theta = initial_theta(cfg, rng)
+                tasks = sample_task_batch(cfg, rng)
+                theta_next, row = meta_step(theta, tasks, cfg)
+                want_theta, want_row = _reference_meta_step(theta, tasks, cfg)
+                assert np.array_equal(theta_next, want_theta), (kind, track)
+                got_row = (row.meta_loss, row.grad_norm, row.err_fo, row.err_tr, row.err_bin, row.hvp_total)
+                assert np.array_equal(got_row, want_row, equal_nan=True), (kind, track)
+
+    @pytest.mark.parametrize("family", sorted(_STACK_FAMILIES))
+    def test_error_experiment_equals_task_by_task(self, family):
+        for rescale in (False, True):
+            cfg = MetaTrainConfig(estimator=EstimatorConfig(rescale_alpha=rescale), K=4, meta_batch=3, seed=8,
+                                  **_STACK_FAMILIES[family])
+            assert run_error_experiment(cfg, [0, 1, 3, 4, 1], 2) == _reference_error_experiment(cfg, [0, 1, 3, 4, 1], 2)
+
+    def test_hvp_total_is_batch_times_per_task_count(self):
+        rng = np.random.default_rng(9)
+        for kind, per_task in (("full", 5), ("trunc", 2), ("binom", 2 * 4), ("binom-trunc", 2 * 2)):
+            cfg = MetaTrainConfig(estimator=EstimatorConfig(kind=kind, L=2, C=3), K=5, meta_batch=4, dim=3)
+            _, row = meta_step(rng.standard_normal(3), sample_task_batch(cfg, rng), cfg)
+            assert row.hvp_total == 4 * per_task
+
+
+def _line_task(h, beta):
+    """d = 2: training curvature h along e1 only, validation gradient beta * e1 at every point.
+
+    From theta = e2 the iterates stay at e2 and the validation loss is 0, while
+    each cascade stage multiplies the validation gradient by about 1 - alpha * h."""
+    train = QuadraticTask(np.diag([h, 0.0]), np.zeros(2))
+    return TaskPair(train, QuadraticTask(np.zeros((2, 2)), np.array([beta, 0.0])))
+
+
+def _alone(tasks, cfg, theta):
+    with pytest.raises(DivergenceError) as info:
+        meta_step(theta, tasks, cfg)
+    return str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+class TestStackedDivergence:
+    """A later task failing earlier does not hide the failure of an earlier task."""
+
+    def test_adaptation_names_the_first_task(self):
+        # task 2 overflows its gradient at step 0, task 1 its iterate only at step 3
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="fo"), alpha=1.0, K=5, meta_batch=3)
+        fast = TaskPair(QuadraticTask(1e308 * np.eye(2), np.full(2, 1.7e308)), _zero_task())
+        slow = TaskPair(QuadraticTask((1 + 1e80) * np.eye(2), np.zeros(2)), _zero_task())
+        theta = np.ones(2)
+        assert _alone([fast], cfg, theta) == "task 0: training gradient diverged (NaN/Inf) at step 0"
+        slow_msg = _alone([slow], cfg, theta)
+        assert slow_msg.endswith("at step 3")
+        with pytest.raises(DivergenceError, match=r"^task 1: .* step 3$") as info:
+            meta_step(theta, [TaskPair(_zero_task(), _zero_task()), slow, fast], cfg)
+        assert str(info.value) == slow_msg.replace("task 0", "task 1")
+
+    def test_stacked_calls_name_the_lowest_failing_row(self):
+        # gd_adapt and the cascade on a stack record each row's first failure and raise the lowest row's
+        slow = QuadraticTask((1 + 1e80) * np.eye(2), np.zeros(2))
+        fast = QuadraticTask(1e308 * np.eye(2), np.full(2, 1.7e308))
+        with pytest.raises(DivergenceError, match=r"^training gradient diverged \(NaN/Inf\) at step 3$") as info:
+            gd_adapt(stack_objectives([_zero_task(), slow, fast]), np.ones((3, 2)), 1.0, 5)
+        assert info.value.row == 1
+        tasks = [_line_task(0.0, 1.0), _line_task(1 + 1e160, 1.0), _line_task(1 + 1e160, 1e200)]
+        traj = gd_adapt(stack_objectives([p.train for p in tasks]), np.tile([0.0, 1.0], (3, 1)), 1.0, 4)
+        g = validation_gradient(stack_objectives([p.val for p in tasks]), traj)
+        with pytest.raises(DivergenceError, match=r"^NaN/Inf at cascade stage 1, step k=2$") as info:
+            full_meta_gradient(traj, g)
+        assert info.value.row == 1
+
+    def test_validation_gradient_before_a_later_adaptation_failure(self):
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="fo"), alpha=2.0, K=2, meta_batch=3)
+        bad_val = TaskPair(_zero_task(), QuadraticTask(np.diag([0.0, 1e308]), np.array([0.0, 1e308])))
+        bad_adapt = TaskPair(QuadraticTask(np.diag([1e308, 0.0]), np.array([1.7e308, 0.0])), _zero_task())
+        tasks = [TaskPair(_zero_task(), _zero_task()), bad_val, bad_adapt]
+        with pytest.raises(DivergenceError, match=r"^task 1: validation gradient is NaN/Inf$"):
+            meta_step(np.ones(2), tasks, cfg)
+        with pytest.raises(DivergenceError, match=r"^task 1: training gradient diverged \(NaN/Inf\) at step 0$"):
+            meta_step(np.ones(2), [tasks[0], bad_adapt, bad_val], cfg)
+
+    @pytest.mark.parametrize("kind", ["full", "binom"])
+    def test_cascade_names_the_first_task(self, kind):
+        # 1 - alpha * h = -1e160: task 2 (beta 1e200) overflows at stage 0, task 1 (beta 1) at stage 1
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind=kind, L=2), alpha=1.0, K=4, meta_batch=3)
+        early, late = _line_task(1 + 1e160, 1e200), _line_task(1 + 1e160, 1.0)
+        theta = np.array([0.0, 1.0])
+        assert "cascade stage 0," in _alone([early], cfg, theta)
+        late_msg = _alone([late], cfg, theta)
+        assert "cascade stage 1," in late_msg
+        tasks = [_line_task(0.0, 1.0), late, early]
+        with pytest.raises(DivergenceError) as info:
+            meta_step(theta, tasks, cfg)
+        assert str(info.value) == late_msg.replace("task 0", "task 1")
+
+    def test_tracked_errors_before_a_later_estimate_failure(self):
+        # binom at L=1 fails for task 2 only; the order-K error cascade fails for task 1 as well
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="binom", L=1), alpha=1.0, K=4, meta_batch=3,
+                              track_errors=True)
+        early, late = _line_task(1 + 1e160, 1e200), _line_task(1 + 1e160, 1.0)
+        theta = np.array([0.0, 1.0])
+        late_msg = _alone([late], cfg, theta)
+        assert "cascade stage 1," in late_msg
+        with pytest.raises(DivergenceError) as info:
+            meta_step(theta, [_line_task(0.0, 1.0), late, early], cfg)
+        assert str(info.value) == late_msg.replace("task 0", "task 1")
+
+    def test_error_experiment_names_batch_and_task(self, monkeypatch):
+        cfg = MetaTrainConfig(alpha=1.0, K=4, meta_batch=3, dim=2)
+        tasks = [_line_task(0.0, 1.0), _line_task(1 + 1e160, 1.0), _line_task(1 + 1e160, 1e200)]
+        monkeypatch.setattr("metagrad.metatrain.sample_task_batch", lambda cfg, rng: tasks)
+        monkeypatch.setattr("metagrad.metatrain.initial_theta", lambda cfg, rng: np.array([0.0, 1.0]))
+        with pytest.raises(DivergenceError, match=r"^batch 0, task 1: NaN/Inf at cascade stage 1, step k="):
+            run_error_experiment(cfg, [1, 4], 1)
+
+    def test_imaml_breakdown_names_the_task(self):
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="imaml", imaml_lambda=1.0), alpha=0.1, K=2,
+                              meta_batch=3)
+        indefinite = TaskPair(QuadraticTask(np.diag([-5.0, 1.0]), np.zeros(2)), QuadraticTask(np.eye(2), np.ones(2)))
+        tasks = [TaskPair(_zero_task(), _zero_task()), indefinite, indefinite]
+        with pytest.raises(CGBreakdownError, match=r"^task 1: non-positive curvature"):
+            meta_step(np.ones(2), tasks, cfg)
+
+    def test_meta_gradient_check_names_the_row(self):
+        with pytest.raises(DivergenceError, match=r"^fo estimate contains NaN/Inf$") as info:
+            MetaGradient(np.array([[1.0, 2.0], [1.0, np.nan], [np.inf, 0.0]]), "fo", 0, CostCounters(0, 0, 0))
+        assert info.value.row == 1

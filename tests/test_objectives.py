@@ -6,13 +6,36 @@ from metagrad import (
     MlpObjective,
     PrescribedHessianSequence,
     QuadraticTask,
-    hvp_finite_difference,
     mlp_init,
     random_logistic,
     random_quadratic,
     sample_sinusoid_batch,
     sharpness_sequence,
+    stack_objectives,
 )
+
+
+def hvp_finite_difference(obj, phi, v) -> np.ndarray:
+    """Central-difference Hessian-vector product from two gradient calls.
+
+    Differences along the unit direction u = v/||v|| and rescales by ||v||,
+    so the result is exactly homogeneous in v. When ||v|| underflows, v is
+    scaled by max|v| instead; a zero v gives a zero product. The step is
+    eps = 1e-5 * (1 + ||phi||), balancing truncation against round-off. It is
+    the reference the analytic products are tested against.
+    """
+    phi = np.asarray(phi, dtype=float)
+    v = np.asarray(v, dtype=float)
+    eps = 1e-5 * (1.0 + float(np.linalg.norm(phi)))
+    vnorm = float(np.linalg.norm(v))
+    if vnorm < 1e-150:
+        vnorm = float(np.max(np.abs(v), initial=0.0))
+        if vnorm == 0.0:
+            return np.zeros_like(v)
+    u = v / vnorm
+    gp = obj.gradient(phi + eps * u)
+    gm = obj.gradient(phi - eps * u)
+    return vnorm * (gp - gm) / (2.0 * eps)
 
 
 def central_diff_gradient(obj, phi, eps=1e-6):
@@ -145,6 +168,16 @@ class TestHvpContract:
             # a stage passes its iterates as a tuple and its vectors as a list
             assert np.array_equal(obj.hvp(tuple(phis), list(vs)), rows)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mismatched_shapes_rejected(self, family):
+        # a (d,) point with a B x d stack of directions, and the reverse, break the contract
+        rng = np.random.default_rng(36)
+        obj, phi = _objective_and_point(family, rng)
+        vs = rng.standard_normal((3, obj.dim))
+        for args in ((phi, vs), (np.array([phi] * 3), vs[0]), (np.array([phi] * 2), vs)):
+            with pytest.raises(ValueError, match="hvp takes phi and v of one shape"):
+                obj.hvp(*args)
+
     def test_mlp_matches_finite_difference(self):
         rng = np.random.default_rng(34)
         for _ in range(4):
@@ -153,6 +186,38 @@ class TestHvpContract:
             exact = obj.hvp(theta, v)
             approx = hvp_finite_difference(obj, theta, v)
             assert np.linalg.norm(exact - approx) <= 1e-6 * np.linalg.norm(approx)
+
+
+class TestStackedObjectives:
+    """stack_objectives puts B tasks on a leading axis; row t is task t's own result, bit for bit."""
+
+    @pytest.mark.parametrize("family", TestHvpContract.FAMILIES)
+    def test_rows_equal_single_task_calls(self, family):
+        rng = np.random.default_rng(37)
+        for B in (1, 4):
+            pairs = [_objective_and_point(family, rng) for _ in range(B)]
+            objs = [obj for obj, _ in pairs]
+            stacked = stack_objectives(objs)
+            phis = np.array([phi for _, phi in pairs])
+            values, grads = stacked.value(phis), stacked.gradient(phis)
+            assert values.shape == (B,) and grads.shape == (B, stacked.dim)
+            for t, obj in enumerate(objs):
+                assert np.array_equal(values[t], obj.value(phis[t]))
+                assert np.array_equal(grads[t], obj.gradient(phis[t]))
+            # a cascade stage sends a tuple of B x d iterates and a list of B x d vectors
+            stage = tuple(phis + 0.01 * rng.standard_normal(phis.shape) for _ in range(3))
+            vs = [rng.standard_normal(phis.shape) for _ in range(3)]
+            rows = stacked.hvp(stage, vs)
+            assert rows.shape == (3, B, stacked.dim)
+            for j in range(3):
+                assert np.array_equal(stacked.hvp(stage[j], vs[j]), rows[j])
+                for t, obj in enumerate(objs):
+                    assert np.array_equal(rows[j, t], obj.hvp(stage[j][t], vs[j][t]))
+
+    def test_one_family_only(self):
+        rng = np.random.default_rng(38)
+        with pytest.raises(ValueError, match="one family"):
+            stack_objectives([random_quadratic(rng, 2), random_logistic(rng, np.ones(2), 20)])
 
 
 class TestGradientsMatchValues:
