@@ -2,9 +2,10 @@
 
 Adaptation runs phi^{k+1} = phi^k - alpha * grad(phi^k) from phi^0 = theta and
 records every iterate. Tasks are independent: for B stacked tasks phi is B x d,
-each step one gradient call, row t bit for bit task t's run. A row that meets
-NaN/Inf keeps its last finite iterate while the rest run on, and the error
-names the lowest failing row. Finished trajectories are immutable.
+each step one gradient call, row t bit for bit task t's run. The first NaN/Inf
+in any row raises at once, naming the step; naming the task is left to
+``metatrain``, which replays a failed stack task by task. Finished trajectories
+are immutable.
 """
 
 from dataclasses import dataclass
@@ -18,21 +19,6 @@ from .objectives import PrescribedHessianSequence, TaskObjective
 
 class DivergenceError(RuntimeError):
     """Raised when an iteration produces NaN/Inf; the message names the step."""
-    row = 0  # the failing task row of a stacked run
-
-
-def _record(failures: dict, x, message: str) -> dict:
-    """Note ``message`` as the first failure of every row of x holding a NaN/Inf."""
-    for t in np.flatnonzero(~np.isfinite(x).all(axis=-1)):
-        failures.setdefault(int(t), message)
-    return failures
-
-
-def _raise_lowest(failures: dict):
-    if failures:
-        exc = DivergenceError(failures[min(failures)])
-        exc.row = min(failures)
-        raise exc
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,7 @@ def gd_adapt(obj: TaskObjective, theta, alpha: float, K: int) -> Trajectory:
     phi = as_vectors(theta)
     if phi.shape[-1] != obj.dim:
         raise ValueError(f"theta has dimension {phi.shape[-1]}, objective expects {obj.dim}")
-    iterates, failures = [phi], {}
+    iterates = [phi]
     for k in range(K):
         try:
             g = obj.gradient(phi)
@@ -94,12 +80,10 @@ def gd_adapt(obj: TaskObjective, theta, alpha: float, K: int) -> Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = phi - alpha * g
         if not np.isfinite(nxt).all():  # a NaN/Inf gradient always leaves one in the iterate
-            _record(failures, g, f"training gradient diverged (NaN/Inf) at step {k}")
-            _record(failures, nxt, f"iterate diverged (NaN/Inf) at step {k}")
-            nxt = np.where(np.isfinite(nxt).all(axis=-1, keepdims=True), nxt, phi)
+            what = "training gradient" if not np.isfinite(g).all() else "iterate"
+            raise DivergenceError(f"{what} diverged (NaN/Inf) at step {k}")
         phi = nxt
         iterates.append(phi)
-    _raise_lowest(failures)
     return Trajectory(iterates=tuple(iterates), alpha=float(alpha), objective=obj)
 
 
@@ -110,7 +94,8 @@ def validation_gradient(val_obj: TaskObjective, traj: Trajectory) -> np.ndarray:
             f"validation objective dimension {val_obj.dim} != trajectory dimension {traj.dim}"
         )
     g = val_obj.gradient(traj.final)
-    _raise_lowest(_record({}, g, "validation gradient is NaN/Inf"))
+    if not np.isfinite(g).all():
+        raise DivergenceError("validation gradient is NaN/Inf")
     return g
 
 

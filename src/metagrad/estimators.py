@@ -35,7 +35,8 @@ stacked over B tasks, giving a B x d estimate and each task's own
 ``hvp`` call on width x B rows, each bit for bit the single HVP. The fixed
 descending-index summation order and stage barrier are the only contract, so
 the result equals the one-HVP-at-a-time, one-task-at-a-time schedule bit for
-bit; a NaN/Inf names the lowest failing task row (``DivergenceError.row``).
+bit. The first NaN/Inf in any row raises at once; it names the stage and step,
+not the task (``metatrain`` replays a failed stack task by task for that).
 """
 
 import itertools
@@ -44,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptation import Trajectory, _raise_lowest, _record
+from .adaptation import DivergenceError, Trajectory
 from .linalg import conjugate_gradient
 from .objectives import TaskObjective, _dot
 
@@ -76,7 +77,8 @@ class MetaGradient:
     converged: bool = True  # only the CG-based estimate can fail to converge
 
     def __post_init__(self):
-        _raise_lowest(_record({}, self.estimate, f"{self.kind} estimate contains NaN/Inf"))
+        if not np.isfinite(self.estimate).all():
+            raise DivergenceError(f"{self.kind} estimate contains NaN/Inf")
 
 
 ESTIMATOR_KINDS = (
@@ -151,13 +153,13 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
     the window is one entry wide and the cascade is the backprop loop.
 
     A NaN/Inf anywhere in a window reaches its first entry through the running
-    sum, so that one entry is checked per stage; a failing row is zeroed (hvp
-    rejects NaN) and the lowest one raised at the end, naming its stage and
-    highest non-finite step. The costs are counted per row from the calls
-    made: the vectors sent, the calls, and the widest window sent.
+    sum, so that one entry is checked per stage; the first stage that fails
+    raises, naming itself and its highest non-finite step (in any row). The
+    costs are counted per row from the calls made: the vectors sent, the
+    calls, and the widest window sent.
     """
     v = [g] * (C + 1)
-    estimates, edge, sent, failures = {}, [g], [], {}
+    estimates, edge, sent = {}, [g], []
     for m in orders:
         width = C - m + 1
         v = v[len(v) - width:]
@@ -171,14 +173,12 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
                 run = run - alpha * u[j]
                 nxt[j] = run
             if not np.isfinite(run).all():
-                for j in range(width - 1, -1, -1):
-                    _record(failures, nxt[j], f"NaN/Inf at cascade stage {l - 1}, step k={lo + j}")
-                    nxt[j][~np.isfinite(nxt[j]).all(axis=-1)] = 0.0
+                k = max(j for j in range(width) if not np.isfinite(nxt[j]).all())
+                raise DivergenceError(f"NaN/Inf at cascade stage {l - 1}, step k={lo + k}")
             v = nxt
             del u  # so the next stage call does not hold this stage's products too
             edge.append(v[-1])
         estimates[m] = v[0]
-    _raise_lowest(failures)
     return estimates, edge, CostCounters(sum(sent), len(sent), max(sent, default=0))
 
 

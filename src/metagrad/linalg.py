@@ -1,6 +1,7 @@
 """Dense linear-algebra substrate: vectors, matrices, and a CG solver.
 
-Vectors are 1-D float64 numpy arrays, matrices 2-D. Everything here is a pure
+Vectors are 1-D float64 numpy arrays, matrices 2-D; ``as_vectors`` also takes
+stacks of vectors (a task and/or a stage axis in front). Everything here is a pure
 function over immutable inputs, so values can be shared freely across threads.
 Dense storage only: the dimensions in play are small enough that correctness
 checks matter far more than throughput.

@@ -6,9 +6,11 @@ the gradient rule theta' = theta - beta * mean(estimates) or the
 interpolation rule theta' = theta + eps * mean(phi^K - theta).
 
 Each phase runs once for the batch on a leading task axis (imaml solves task by
-task). Row t is bit for bit task t's single-task run, a failure names the task a
-task-by-task run stops at, and the meta-update is a single reduction in fixed
-task order, so records are bitwise-reproducible given (seed, config).
+task). Row t is bit for bit task t's single-task run, and the meta-update is a
+single reduction in fixed task order, so records are bitwise-reproducible given
+(seed, config). A stacked phase fails fast without naming a task; a failed batch
+is then replayed task by task (``_run_stacked``), so the report names the task a
+task-by-task run stops at.
 """
 
 import math
@@ -18,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .adaptation import DivergenceError, Trajectory, _raise_lowest, _record, gd_adapt, validation_gradient
+from .adaptation import DivergenceError, Trajectory, gd_adapt, validation_gradient
 from .csvtable import csv_text, row_values
 from .estimators import (
     EstimatorConfig,
@@ -127,19 +129,6 @@ def train_csv(rows: Sequence[TrainRecordRow]) -> str:
     return csv_text(TRAIN_CSV_HEADER, map(row_values, rows))
 
 
-def _lowest_failure(*calls):
-    """Run every call; return the results, or re-raise the lowest task row's failure (ties: the earlier call's)."""
-    results, failures = [], []
-    for call in calls:
-        try:
-            results.append(call())
-        except (DivergenceError, CGBreakdownError) as exc:
-            failures.append(exc)
-    if failures:
-        raise min(failures, key=lambda exc: getattr(exc, "row", 0))
-    return results
-
-
 def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alpha: bool):
     """[(e_fo, e_tr, e_bin) per L]: errors of the first-order, truncated and
     expansion estimates against the exact product (per task of a stack), read
@@ -152,8 +141,7 @@ def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alph
     groups = {traj.alpha: {K}}
     for L in l_values:
         groups.setdefault(_effective_alpha(traj, L, rescale_alpha), set()).add(L)
-    runs = dict(zip(groups, _lowest_failure(
-        *(lambda a=a, ls=ls: _cascade(traj.hvp_stage, 0, K, sorted(ls), a, g) for a, ls in groups.items()))))
+    runs = {a: _cascade(traj.hvp_stage, 0, K, sorted(ls), a, g) for a, ls in groups.items()}
     products = runs[traj.alpha][1]
     exact = products[K]
     e_fo = estimation_error(g, exact)
@@ -166,23 +154,31 @@ def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alph
 
 @contextmanager
 def _failure_prefix(where: str):
-    """Re-raise a numerical failure in the block as its own type, prefixed with ``where``
-    (a ``{}`` in it names the failing task row)."""
+    """Re-raise a numerical failure in the block as its own type, prefixed with ``where``."""
     try:
         yield
     except (DivergenceError, CGBreakdownError) as exc:
-        raise type(exc)(f"{where.format(getattr(exc, 'row', 0))}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _run_stacked(phase, tasks: Sequence[TaskPair], where: str = ""):
+    """phase(tasks) on the whole stack, once. On a numerical failure, re-run phase on
+    each task alone, in order, and raise the first one's failure as ``{where}task t: ...``.
+    Row t of a stack is bit for bit task t's own run, so that is the failure a
+    task-by-task run stops at."""
+    try:
+        return phase(tasks)
+    except (DivergenceError, CGBreakdownError):
+        for t in range(len(tasks)):
+            with _failure_prefix(f"{where}task {t}"):
+                phase(tasks[t:t + 1])
+        raise  # no task fails alone: report the stack's own failure
 
 
 def _adapt(tasks: Sequence[TaskPair], theta, cfg: MetaTrainConfig):
     """Adapt the batch as one stack: (trajectory, validation gradients, stacked validation objective)."""
-    val = stack_objectives([pair.val for pair in tasks])
-    try:
-        traj = gd_adapt(stack_objectives([p.train for p in tasks]), np.tile(theta, (len(tasks), 1)), cfg.alpha, cfg.K)
-    except DivergenceError as exc:
-        if exc.row:  # an earlier task whose validation gradient fails comes first
-            _adapt(tasks[:exc.row], theta, cfg)
-        raise
+    traj = gd_adapt(stack_objectives([p.train for p in tasks]), np.tile(theta, (len(tasks), 1)), cfg.alpha, cfg.K)
+    val = stack_objectives([p.val for p in tasks])
     return traj, validation_gradient(val, traj), val
 
 
@@ -191,13 +187,8 @@ def _estimates(tasks: Sequence[TaskPair], traj: Trajectory, g, est: EstimatorCon
     if est.kind != "imaml":
         mg = estimate(traj, g, est)
         return mg.estimate, len(tasks) * mg.cost.hvp_total
-    mgs = []
-    for t, pair in enumerate(tasks):
-        try:
-            mgs.append(imaml_meta_gradient(pair.train, traj.final[t], g[t], est.imaml_lambda, est.cg_tol, est.cg_iters))
-        except (DivergenceError, CGBreakdownError) as exc:
-            exc.row = t
-            raise
+    mgs = [imaml_meta_gradient(pair.train, traj.final[t], g[t], est.imaml_lambda, est.cg_tol, est.cg_iters)
+           for t, pair in enumerate(tasks)]
     return np.array([mg.estimate for mg in mgs]), sum(mg.cost.hvp_total for mg in mgs)
 
 
@@ -207,23 +198,29 @@ def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig
     if not tasks:
         raise ValueError("task batch must be non-empty")
     est = cfg.estimator
-    with _failure_prefix("task {}"):
-        traj, g, val = _adapt(tasks, theta, cfg)
+
+    def phases(batch):
+        traj, g, val = _adapt(batch, theta, cfg)
         losses = val.value(traj.final)
-        _raise_lowest(_record({}, losses[:, None], "validation loss is NaN/Inf"))
-        (estimates, hvp_total), errs = _lowest_failure(
-            lambda: (None, 0) if est.kind == "reptile" else _estimates(tasks, traj, g, est),
-            lambda: _estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] if cfg.track_errors else None)
+        if not np.isfinite(losses).all():
+            raise DivergenceError("validation loss is NaN/Inf")
+        estimates, hvp_total = (None, 0) if est.kind == "reptile" else _estimates(batch, traj, g, est)
+        errs = _estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] if cfg.track_errors else None
+        return traj.final, losses, estimates, hvp_total, errs
+
+    finals, losses, estimates, hvp_total, errs = _run_stacked(phases, tasks)
     meta_loss = float(np.mean(losses))
 
     if est.kind == "reptile":
-        direction = reptile_direction(theta, traj.final)
+        direction = reptile_direction(theta, finals)
         theta_next = theta + est.reptile_eps * direction
         grad_norm = float(np.linalg.norm(direction))
     else:
         mean_estimate = sum(estimates) / len(tasks)
         theta_next = theta - cfg.beta * mean_estimate
         grad_norm = float(np.linalg.norm(mean_estimate))
+    if not math.isfinite(grad_norm):  # batch-level: no one task fails, so it is not replayed
+        raise DivergenceError("meta-update norm is NaN/Inf")
 
     err_fo, err_tr, err_bin = (float(np.mean(column)) for column in errs) if errs else (math.nan,) * 3
 
@@ -281,9 +278,9 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
     sums = [np.zeros(3) for _ in l_values]  # by position, so a repeated L is not summed twice
     for b in range(batches):
         tasks = sample_task_batch(cfg, task_rng)
-        with _failure_prefix(f"batch {b}, task {{}}"):
-            traj, g, _ = _adapt(tasks, theta, cfg)
-            errs = _estimator_errors(traj, g, l_values, cfg.estimator.rescale_alpha)
+        errs = _run_stacked(
+            lambda ts: _estimator_errors(*_adapt(ts, theta, cfg)[:2], l_values, cfg.estimator.rescale_alpha),
+            tasks, f"batch {b}, ")
         for L, per_task, total in zip(l_values, errs, sums):
             mean = np.mean(np.stack(per_task, axis=1), axis=0)  # tasks x (e_fo, e_tr, e_bin)
             total += mean

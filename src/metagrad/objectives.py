@@ -37,7 +37,7 @@ class TaskObjective(abc.ABC):
     ``hvp(phi, v)`` takes one point and one direction, each of shape (d,), or
     B x d stacks of both, and returns H(phi[j]) v[j] in row j; every row equals
     the single-pair product bit for bit (phi and v of two shapes raise
-    ``ValueError``). ``full_hessian`` exists for explicit-Hessian families.
+    ``ValueError``).
     """
 
     dim: int
@@ -50,9 +50,6 @@ class TaskObjective(abc.ABC):
 
     @abc.abstractmethod
     def hvp(self, phi, v) -> np.ndarray: ...
-
-    def full_hessian(self, phi) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no explicit Hessian")
 
 
 def _matvec(m, v):
@@ -108,9 +105,6 @@ class QuadraticTask(TaskObjective):
     def hvp(self, phi, v) -> np.ndarray:
         return _matvec(self.a, _hvp_args(phi, v)[1])
 
-    def full_hessian(self, phi) -> np.ndarray:
-        return self.a
-
 
 class LogisticTask(TaskObjective):
     """Mean negative log-likelihood of logistic regression.
@@ -150,11 +144,6 @@ class LogisticTask(TaskObjective):
         xt = self.x.swapaxes(-1, -2)
         s = self._sigmoid(_matvec(xt, phi))
         return _matvec(self.x, (s * (1.0 - s)) * _matvec(xt, v)) / self.n
-
-    def full_hessian(self, phi) -> np.ndarray:
-        z = self.x.T @ as_vector(phi)
-        s = self._sigmoid(z)
-        return (self.x * (s * (1.0 - s))) @ self.x.T / self.n
 
 
 def _mlp_slices():

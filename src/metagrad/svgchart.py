@@ -15,9 +15,17 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 LOG_FLOOR = 1e-17  # log-scale clamp for exact zeros
 
 
+def _span(lo: float, hi: float):
+    """(lo, hi) widened to a non-empty range when flat: up by 1, or, where lo + 1
+    rounds back to lo, halfway toward zero (which cannot overflow)."""
+    if hi > lo:
+        return lo, hi
+    if lo + 1.0 > lo:
+        return lo, lo + 1.0
+    return (lo / 2, hi) if lo > 0 else (lo, hi / 2)
+
+
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -35,12 +43,8 @@ def line_chart(curves, title: str, xlabel: str, ylabel: str, log_y: bool = False
     if log_y:
         ys_all = [max(y, LOG_FLOOR) for y in ys_all]
         ys_all = [math.log10(y) for y in ys_all]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(min(xs_all), max(xs_all))
+    y_lo, y_hi = _span(min(ys_all), max(ys_all))
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

@@ -3,6 +3,7 @@ import pytest
 
 from metagrad import (
     PrescribedHessianSequence,
+    QuadraticTask,
     Trajectory,
     from_hessian_sequence,
     gd_adapt,
@@ -64,11 +65,19 @@ def sine_trajectory(rng, K=5, alpha=1e-3, shots=5):
     return traj, validation_gradient(task.val_objective(), traj)
 
 
+def dense_hessian(obj, phi):
+    """Explicit Hessian of a quadratic (A) or logistic ((1/N) X diag(s(1 - s)) X^T) objective at phi."""
+    if isinstance(obj, QuadraticTask):
+        return obj.a
+    s = obj._sigmoid(obj.x.T @ np.asarray(phi, dtype=float))
+    return (obj.x * (s * (1.0 - s))) @ obj.x.T / obj.n
+
+
 def step_hessian(traj, k):
-    """Explicit Hessian at iterate k: the prescribed one, or the objective's full_hessian."""
+    """Explicit Hessian at iterate k: the prescribed one, or the objective's dense_hessian."""
     if traj.step_hessians is not None:
         return traj.step_hessians[k]
-    return traj.objective.full_hessian(traj.iterates[k])
+    return dense_hessian(traj.objective, traj.iterates[k])
 
 
 def dense_product(traj, L=None):

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from metagrad.cli import main
+from metagrad.svgchart import line_chart
 
 
 def read_csv(path):
@@ -17,6 +18,16 @@ def polyline_count(path):
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
     return sum(1 for el in root.iter() if el.tag.endswith("polyline"))
+
+
+@pytest.mark.parametrize("y", [0.0, -3.5, 2.8e19, -2.8e19, 1.7e308, -1.7e308])
+def test_flat_series_charts_at_any_magnitude(y):
+    # a flat range widens up by 1 where y + 1 != y, else halfway toward zero
+    root = ET.fromstring(line_chart([("flat", [0, 1], [y, y])], title="t", xlabel="x", ylabel="y"))
+    ticks = [float(el.text) for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
+    lo, hi = (y, y + 1.0) if y + 1.0 > y else sorted((y, y / 2))
+    assert ticks == sorted(set(ticks)) and len(ticks) == 5
+    assert ticks[0] == pytest.approx(lo, rel=1e-5) and ticks[-1] == pytest.approx(hi, rel=1e-5)
 
 
 class TestBounds:
@@ -168,6 +179,26 @@ class TestMetatrain:
         assert main(args) == 2
         assert "task 0: validation loss is NaN/Inf" in capsys.readouterr().err
         assert not (tmp_path / "x" / "train.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_meta_update_norm_exits_two(self, tmp_path, capsys):
+        # every estimate is finite, but the norm of their mean overflows
+        args = [
+            "metatrain", "--family", "logistic", "--alpha", "1e300", "--K", "3", "--iters", "2",
+            "--out", str(tmp_path / "x"),
+        ]
+        assert main(args) == 2
+        assert "meta-iteration 0: meta-update norm is NaN/Inf" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "train.csv").exists()
+
+    def test_flat_large_meta_loss_charts(self, tmp_path):
+        # one meta-loss of about 2.8e19, where y + 1 rounds back to y
+        out = tmp_path / "x"
+        args = ["metatrain", "--family", "quadratic", "--alpha", "100", "--K", "5", "--iters", "1", "--out", str(out)]
+        assert main(args) == 0
+        loss = float(read_csv(out / "train.csv")[0]["meta_loss"])
+        assert loss + 1.0 == loss
+        assert polyline_count(out / "loss_curve.svg") == 1
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_sweep_divergence_names_batch_task_and_step(self, tmp_path, capsys):
