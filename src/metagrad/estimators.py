@@ -30,13 +30,15 @@ the cascade makes. ``binom_oracle`` enumerates the expansion tuple by tuple
 and is the deliberately unoptimized ground truth the cascade is tested against.
 
 Every estimator is a pure function of (trajectory, g, parameters); both may be
-stacked over B tasks, giving a B x d estimate and each task's own
-``CostCounters``. A stage's HVPs are independent, so each stage is one
-``hvp`` call on width x B rows, each bit for bit the single HVP. The fixed
-descending-index summation order and stage barrier are the only contract, so
-the result equals the one-HVP-at-a-time, one-task-at-a-time schedule bit for
-bit. The first NaN/Inf in any row raises at once; it names the stage and step,
-not the task (``metatrain`` replays a failed stack task by task for that).
+stacked over B tasks, giving a B x d estimate whose ``CostCounters`` cover the
+whole stack. A stage's HVPs are independent, so each stage is one
+``hvp`` call on width x B rows, each bit for bit the single HVP. imaml runs one
+stacked CG: each iteration is one ``hvp`` call on the tasks still iterating.
+The fixed descending-index summation order and stage barrier are the only
+contract, so the result equals the one-HVP-at-a-time, one-task-at-a-time
+schedule bit for bit. The first NaN/Inf in any row raises at once; it names the
+stage and step, not the task (``metatrain`` replays a failed stack task by task
+for that).
 """
 
 import itertools
@@ -46,17 +48,17 @@ from typing import Optional
 import numpy as np
 
 from .adaptation import DivergenceError, Trajectory
-from .linalg import conjugate_gradient
-from .objectives import TaskObjective, _dot
+from .linalg import _dot, conjugate_gradient
+from .objectives import TaskObjective, take_rows
 
 
 @dataclass(frozen=True)
 class CostCounters:
-    """Logical cost of one estimate (of each task's, for a stacked one).
+    """Logical cost of one estimate (of the whole stack, for a stacked one).
 
-    ``hvp_total`` counts HVP evaluations actually performed,
-    ``sequential_depth`` the longest chain of HVPs that must run in order,
-    and ``peak_live_vectors`` the largest number of d-vectors held at once.
+    ``hvp_total`` counts HVP evaluations actually performed (a call on B rows
+    counts B), ``sequential_depth`` the longest chain of HVPs that must run in
+    order, and ``peak_live_vectors`` the largest number of d-vectors held at once.
     """
 
     hvp_total: int
@@ -74,7 +76,7 @@ class MetaGradient:
     kind: str
     L: Optional[int]
     cost: CostCounters
-    converged: bool = True  # only the CG-based estimate can fail to converge
+    converged: bool = True  # only the CG-based estimate can fail to converge (per row of a stack)
 
     def __post_init__(self):
         if not np.isfinite(self.estimate).all():
@@ -115,8 +117,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.imaml_lambda <= 0:
+        if not self.imaml_lambda > 0:  # written so that NaN fails too
             raise ValueError("imaml_lambda must be positive")
+        if not self.cg_tol > 0:
+            raise ValueError("cg_tol must be positive")
         if not 0.0 < self.reptile_eps <= 1.0:
             raise ValueError("reptile_eps must lie in (0, 1]")
 
@@ -155,8 +159,8 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
     A NaN/Inf anywhere in a window reaches its first entry through the running
     sum, so that one entry is checked per stage; the first stage that fails
     raises, naming itself and its highest non-finite step (in any row). The
-    costs are counted per row from the calls made: the vectors sent, the
-    calls, and the widest window sent.
+    costs are counted from the calls made: the vectors sent (width x rows per
+    call), the calls, and the widest window sent (times rows).
     """
     v = [g] * (C + 1)
     estimates, edge, sent = {}, [g], []
@@ -179,7 +183,8 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
             del u  # so the next stage call does not hold this stage's products too
             edge.append(v[-1])
         estimates[m] = v[0]
-    return estimates, edge, CostCounters(sum(sent), len(sent), max(sent, default=0))
+    rows = g.size // g.shape[-1]
+    return estimates, edge, CostCounters(rows * sum(sent), len(sent), rows * max(sent, default=0))
 
 
 def _expansion(traj: Trajectory, g, L: int, C: int, rescale_alpha: bool = False):
@@ -274,22 +279,28 @@ def imaml_meta_gradient(
 ) -> MetaGradient:
     """Implicit estimate: solve (I + H/lambda) x = g at phi_final by CG.
 
-    The map must be SPD at phi_final (true whenever the local Hessian is
-    strictly above -lambda I); CG raises on non-positive curvature, and
-    non-convergence is reported through the returned counters/flag rather
-    than aborting. One HVP per CG iteration.
+    phi_final and g are (d,), or B x d with ``obj`` a ``stack_objectives``
+    stack: then one CG runs all B systems, each iteration one ``hvp`` call on
+    the tasks still iterating. The map must be SPD at phi_final (true whenever
+    the local Hessian is strictly above -lambda I); CG raises on non-positive
+    curvature, and non-convergence is reported through the returned
+    counters/flag rather than aborting. One HVP per task and CG iteration.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     phi_final = np.asarray(phi_final, dtype=float)
     g = np.asarray(g, dtype=float)
+    live_obj, live_phi = obj, phi_final  # cut down to the live tasks when one converges
 
-    def apply(v):
-        return v + obj.hvp(phi_final, v) / lam
+    def apply(v, rows=None):
+        nonlocal live_obj, live_phi
+        if rows is not None and len(rows) != len(live_phi):
+            live_obj, live_phi = take_rows(obj, rows), phi_final[rows]
+        return v + live_obj.hvp(live_phi, v) / lam
 
     result = conjugate_gradient(apply, g, tol=cg_tol, max_iters=cg_iters)
-    # CG working set is four d-vectors (x, r, p, and the map output)
-    cost = CostCounters(result.iterations, result.iterations, 4)
+    # CG working set is four d-vectors per task (x, r, p, and the map output)
+    cost = CostCounters(int(np.sum(result.row_iterations)), result.iterations, 4 * (g.size // g.shape[-1]))
     return MetaGradient(result.x, "imaml", None, cost, converged=result.converged)
 
 
@@ -312,8 +323,8 @@ def estimation_error(estimate, exact) -> float:
 
 
 def estimate(traj: Trajectory, g, cfg: EstimatorConfig) -> MetaGradient:
-    """Dispatch on cfg.kind. Reptile is excluded: it is a meta-update rule
-    over adapted parameters, not a per-task gradient estimate. imaml takes one task."""
+    """Dispatch on cfg.kind, for one task or a stack of them. Reptile is excluded:
+    it is a meta-update rule over adapted parameters, not a per-task gradient estimate."""
     if cfg.kind == "full":
         return full_meta_gradient(traj, g)
     if cfg.kind == "fo":

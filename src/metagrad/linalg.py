@@ -1,8 +1,11 @@
 """Dense linear-algebra substrate: vectors, matrices, and a CG solver.
 
 Vectors are 1-D float64 numpy arrays, matrices 2-D; ``as_vectors`` also takes
-stacks of vectors (a task and/or a stage axis in front). Everything here is a pure
-function over immutable inputs, so values can be shared freely across threads.
+stacks of vectors (a task and/or a stage axis in front). ``_dot`` is the per-row
+dot product of such stacks, bit for bit the 1-D ``p @ q``. The CG solver takes
+one system or a B x d stack of independent ones, each row solved bit for bit as
+if alone. Everything here is a pure function over immutable inputs, so values
+can be shared freely across threads.
 Dense storage only: the dimensions in play are small enough that correctness
 checks matter far more than throughput.
 """
@@ -49,61 +52,83 @@ def is_symmetric(m: np.ndarray) -> bool:
     return float(np.max(np.abs(m - m.T))) <= 1e-12 * scale
 
 
+def _dot(p, q):
+    # p @ q per row: the same ddot as for one pair, where einsum or (p * q).sum(-1) differ
+    return (p[..., None, :] @ q[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class CGResult:
-    """Outcome of a conjugate-gradient solve."""
+    """Outcome of a conjugate-gradient solve; the per-system fields are arrays for a stack."""
 
-    x: np.ndarray       # best iterate found
-    converged: bool     # residual criterion met before max_iters
-    iterations: int     # applications of the linear map
-    residual: float     # final ||apply(x) - b|| / ||b||
+    x: np.ndarray       # best iterate found, one row per system
+    converged: bool     # per system: residual criterion met before max_iters
+    iterations: int     # applications of the linear map (the slowest system's iteration count)
+    residual: float     # per system: final ||apply(x) - b|| / ||b||
+    row_iterations: int  # per system: its own iteration count
 
 
 def conjugate_gradient(
-    apply: Callable[[np.ndarray], np.ndarray],
+    apply: Callable[..., np.ndarray],
     b,
     tol: float = 1e-10,
     max_iters: Optional[int] = None,
 ) -> CGResult:
     """Solve apply(x) = b for a symmetric positive-definite linear map.
 
-    Stops when ||apply(x) - b|| <= tol * ||b||; otherwise returns the best
-    iterate after max_iters with converged=False. A Rayleigh quotient
-    p^T apply(p) <= 0 raises CGBreakdownError, which signals that the map
-    is not positive definite.
+    ``b`` is one (d,) vector, with ``apply(p)`` the map, or a B x d stack of B
+    independent systems. For a stack, ``apply(P, rows)`` maps P[j] by system
+    rows[j]; a system leaves the stack once it converges, so P holds only the
+    live ones, and ``rows`` changes only when one leaves. Each row runs the
+    one-system iteration bit for bit (its scalars are per-row ``_dot``s).
+
+    A system stops when ||apply(x) - b|| <= tol * ||b||; otherwise it returns
+    its best iterate after max_iters with converged=False. A Rayleigh quotient
+    p^T apply(p) <= 0 in any row raises CGBreakdownError, which signals that
+    the map is not positive definite.
     """
-    b = as_vector(b)
-    if tol <= 0:
+    b = _finite(b, (1, 2), "a vector or a B x d stack", "vector")
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    n = b.shape[0]
+    if b.ndim == 1:
+        def step_map(p, rows):
+            return as_vector(apply(p[0]))[None]
+    else:
+        def step_map(p, rows):
+            return as_vectors(apply(p, rows))
+    bs = np.atleast_2d(b)
     if max_iters is None:
-        max_iters = 10 * n
+        max_iters = 10 * bs.shape[1]
 
-    x = np.zeros(n)
-    r = b.copy()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return CGResult(x=x, converged=True, iterations=0, residual=0.0)
-
-    p = r.copy()
-    rs = float(r @ r)
-    iterations = 0
-    for _ in range(max_iters):
-        if np.sqrt(rs) <= tol * bnorm:
+    x_out, rs_out = np.zeros(bs.shape), _dot(bs, bs)
+    iters = np.zeros(len(bs), dtype=int)
+    bnorm = np.sqrt(rs_out)
+    live, x, r, p, rs, stop = np.arange(len(bs)), x_out.copy(), bs.copy(), bs.copy(), rs_out.copy(), tol * bnorm
+    for it in range(max_iters + 1):
+        done = (np.sqrt(rs) <= stop) | (it == max_iters)
+        if done.any():  # retire the finished rows; the work arrays shrink only here
+            out = live[done]
+            x_out[out], rs_out[out], iters[out] = x[done], rs[done], it
+            keep = ~done
+            live, x, r, p, rs, stop = live[keep], x[keep], r[keep], p[keep], rs[keep], stop[keep]
+        if not live.size:
             break
-        ap = as_vector(apply(p))
-        curvature = float(p @ ap)
-        if curvature <= 0.0:
+        ap = step_map(p, live)
+        curvature = _dot(p, ap)
+        bad = curvature <= 0.0
+        if bad.any():
             raise CGBreakdownError(
-                f"non-positive curvature p^T A p = {curvature:.3e}; map is not SPD"
+                f"non-positive curvature p^T A p = {curvature[bad][0]:.3e}; map is not SPD"
             )
-        step = rs / curvature
+        step = (rs / curvature)[:, None]
         x = x + step * p
         r = r - step * ap
-        iterations += 1
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        rs_new = _dot(r, r)
+        p = r + (rs_new / rs)[:, None] * p
         rs = rs_new
 
-    residual = float(np.sqrt(rs)) / bnorm
-    return CGResult(x=x, converged=residual <= tol, iterations=iterations, residual=residual)
+    residual = np.divide(np.sqrt(rs_out), bnorm, out=np.zeros(len(bs)), where=bnorm > 0)
+    converged = residual <= tol
+    if b.ndim == 1:
+        return CGResult(x_out[0], bool(converged[0]), int(iters[0]), float(residual[0]), int(iters[0]))
+    return CGResult(x_out, converged, int(iters.max(initial=0)), residual, iters)

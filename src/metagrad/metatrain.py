@@ -5,12 +5,12 @@ each task's meta-gradient with the configured estimator, and applies either
 the gradient rule theta' = theta - beta * mean(estimates) or the
 interpolation rule theta' = theta + eps * mean(phi^K - theta).
 
-Each phase runs once for the batch on a leading task axis (imaml solves task by
-task). Row t is bit for bit task t's single-task run, and the meta-update is a
-single reduction in fixed task order, so records are bitwise-reproducible given
-(seed, config). A stacked phase fails fast without naming a task; a failed batch
-is then replayed task by task (``_run_stacked``), so the report names the task a
-task-by-task run stops at.
+Each phase runs once for the batch on a leading task axis (imaml's CG too: one
+HVP call per CG iteration for the tasks still iterating). Row t is bit for bit
+task t's single-task run, and the meta-update is a single reduction in fixed
+task order, so records are bitwise-reproducible given (seed, config). A stacked
+phase fails fast without naming a task; a failed batch is then replayed task by
+task (``_run_stacked``), so the report names the task a task-by-task run stops at.
 """
 
 import math
@@ -29,7 +29,6 @@ from .estimators import (
     _effective_alpha,
     estimate,
     estimation_error,
-    imaml_meta_gradient,
     reptile_direction,
 )
 from .linalg import CGBreakdownError
@@ -72,8 +71,9 @@ class MetaTrainConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown task family {self.family!r}; expected one of {FAMILIES}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("alpha", "beta"):
+            if not 0 < getattr(self, name) < math.inf:  # written so that NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.meta_batch < 1:
             raise ValueError("meta_batch must be >= 1")
         if self.K < 1:
@@ -165,10 +165,12 @@ def _run_stacked(phase, tasks: Sequence[TaskPair], where: str = ""):
     """phase(tasks) on the whole stack, once. On a numerical failure, re-run phase on
     each task alone, in order, and raise the first one's failure as ``{where}task t: ...``.
     Row t of a stack is bit for bit task t's own run, so that is the failure a
-    task-by-task run stops at."""
+    task-by-task run stops at. A ValueError (a NaN/Inf map output in CG, say) is
+    replayed too, since an earlier task may fail later in the stack's order; it
+    is re-raised unprefixed, as the task-by-task run raises it."""
     try:
         return phase(tasks)
-    except (DivergenceError, CGBreakdownError):
+    except (DivergenceError, CGBreakdownError, ValueError):
         for t in range(len(tasks)):
             with _failure_prefix(f"{where}task {t}"):
                 phase(tasks[t:t + 1])
@@ -180,16 +182,6 @@ def _adapt(tasks: Sequence[TaskPair], theta, cfg: MetaTrainConfig):
     traj = gd_adapt(stack_objectives([p.train for p in tasks]), np.tile(theta, (len(tasks), 1)), cfg.alpha, cfg.K)
     val = stack_objectives([p.val for p in tasks])
     return traj, validation_gradient(val, traj), val
-
-
-def _estimates(tasks: Sequence[TaskPair], traj: Trajectory, g, est: EstimatorConfig):
-    """(B x d estimates, HVPs spent): one stacked estimate, or imaml's CG task by task."""
-    if est.kind != "imaml":
-        mg = estimate(traj, g, est)
-        return mg.estimate, len(tasks) * mg.cost.hvp_total
-    mgs = [imaml_meta_gradient(pair.train, traj.final[t], g[t], est.imaml_lambda, est.cg_tol, est.cg_iters)
-           for t, pair in enumerate(tasks)]
-    return np.array([mg.estimate for mg in mgs]), sum(mg.cost.hvp_total for mg in mgs)
 
 
 def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig):
@@ -204,21 +196,21 @@ def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig
         losses = val.value(traj.final)
         if not np.isfinite(losses).all():
             raise DivergenceError("validation loss is NaN/Inf")
-        estimates, hvp_total = (None, 0) if est.kind == "reptile" else _estimates(batch, traj, g, est)
+        mg = None if est.kind == "reptile" else estimate(traj, g, est)
         errs = _estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] if cfg.track_errors else None
-        return traj.final, losses, estimates, hvp_total, errs
+        return traj.final, losses, mg, errs
 
-    finals, losses, estimates, hvp_total, errs = _run_stacked(phases, tasks)
+    finals, losses, mg, errs = _run_stacked(phases, tasks)
     meta_loss = float(np.mean(losses))
 
-    if est.kind == "reptile":
+    if mg is None:
         direction = reptile_direction(theta, finals)
         theta_next = theta + est.reptile_eps * direction
-        grad_norm = float(np.linalg.norm(direction))
+        grad_norm, hvp_total = float(np.linalg.norm(direction)), 0
     else:
-        mean_estimate = sum(estimates) / len(tasks)
+        mean_estimate = sum(mg.estimate) / len(tasks)
         theta_next = theta - cfg.beta * mean_estimate
-        grad_norm = float(np.linalg.norm(mean_estimate))
+        grad_norm, hvp_total = float(np.linalg.norm(mean_estimate)), mg.cost.hvp_total
     if not math.isfinite(grad_norm):  # batch-level: no one task fails, so it is not replayed
         raise DivergenceError("meta-update norm is NaN/Inf")
 

@@ -3,7 +3,8 @@
 A task objective exposes ``value``, ``gradient`` and ``hvp``; ``hvp`` takes one
 (point, direction) pair or B x d stacks of them. ``stack_objectives`` puts B
 tasks on a leading axis (A as B x d x d, X as B x d x n, sine data as B x n);
-each method takes B x d points, task t's result bit for bit in row t. Families:
+each method takes B x d points, task t's result bit for bit in row t, and
+``take_rows`` keeps a subset of the rows. Families:
 
 * :class:`QuadraticTask` -- closed-form constant-Hessian oracle family.
 * :class:`LogisticTask` -- convex NLL with an analytic HVP.
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, as_vectors, is_symmetric
+from .linalg import _dot, as_matrix, as_vector, as_vectors, is_symmetric
 
 AMPLITUDE_RANGE = (0.1, 5.0)
 PHASE_RANGE = (0.0, np.pi)
@@ -58,11 +59,6 @@ def _matvec(m, v):
     return np.matmul(m, v[..., None])[..., 0]
 
 
-def _dot(p, q):
-    # p @ q per row: the same ddot as for one pair, where einsum or (p * q).sum(-1) differ
-    return (p[..., None, :] @ q[..., :, None])[..., 0, 0]
-
-
 def _hvp_args(phi, v):
     phi, v = as_vectors(phi), as_vectors(v)
     if phi.shape != v.shape:
@@ -79,6 +75,14 @@ def stack_objectives(objs) -> TaskObjective:
     stacked.__dict__ = {name: np.stack([vars(o)[name] for o in objs]) if isinstance(value, np.ndarray) else value
                         for name, value in vars(objs[0]).items()}
     return stacked
+
+
+def take_rows(stacked: TaskObjective, rows) -> TaskObjective:
+    """The objective of tasks ``rows`` (an index array) of a ``stack_objectives`` result."""
+    taken = object.__new__(type(stacked))
+    taken.__dict__ = {name: value[rows] if isinstance(value, np.ndarray) else value
+                      for name, value in vars(stacked).items()}
+    return taken
 
 
 class QuadraticTask(TaskObjective):

@@ -223,6 +223,27 @@ class TestMetatrain:
             out = tmp_path / est
             assert main(["metatrain", "--estimator", est, "--iters", "3", "--out", str(out), *extra]) == 0
 
+    @pytest.mark.parametrize("family", ["sinusoid", "logistic"])
+    def test_byte_identical_reruns(self, tmp_path, family):
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["metatrain", "--family", family, "--estimator", "imaml", "--iters", "3", "--batch", "4",
+                         "--seed", "5", "--track-errors", "--out", str(out)]) == 0
+            outs.append(out)
+        for fname in ("train.csv", "loss_curve.svg", "resolved_config.txt"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"), ("--beta", "nan", "beta"),
+        ("--beta", "inf", "beta"), ("--lambda", "nan", "imaml_lambda"),
+    ])
+    def test_non_finite_hyperparameter_exits_one_naming_field(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "x"
+        assert main(["metatrain", "--estimator", "imaml", flag, value, "--iters", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"metagrad: error: {field} must be")
+        assert not (out / "train.csv").exists()
+
     def test_truncation_out_of_range_exits_one(self, tmp_path, capsys):
         for extra in (["--estimator", "trunc"], ["--estimator", "fo", "--track-errors"]):
             args = ["metatrain", "--L", "9", "--K", "5", "--iters", "1", "--out", str(tmp_path / "x"), *extra]

@@ -31,10 +31,16 @@ from metagrad import (
     full_meta_gradient,
     gd_adapt,
     imaml_meta_gradient,
+    mlp_init,
+    random_logistic,
+    random_quadratic,
     random_spd,
     reptile_direction,
+    sample_sinusoid_batch,
     sharpness_sequence,
+    stack_objectives,
     trunc_meta_gradient,
+    validation_gradient,
 )
 from metagrad.estimators import _cascade, _expansion
 
@@ -403,6 +409,46 @@ class TestImaml:
         task = QuadraticTask(a, np.zeros(8))
         mg = imaml_meta_gradient(task, np.zeros(8), rng.standard_normal(8), 0.1, cg_tol=1e-15, cg_iters=1)
         assert not mg.converged
+
+
+def _imaml_batch(family, rng, batch=5):
+    """(train objectives, B x d adapted points, B x d validation gradients, lambda) for one family."""
+    if family == "sinusoid":
+        tasks = sample_sinusoid_batch(rng, batch, 5)
+        train, val = [t.train_objective() for t in tasks], [t.val_objective() for t in tasks]
+        theta, alpha, lam = mlp_init(rng), 1e-3, 100.0
+    else:
+        d = 6
+        make = ((lambda: random_quadratic(rng, d, 0.0, 2.0)) if family == "quadratic"
+                else (lambda w=rng.standard_normal(d): random_logistic(rng, w, 20)))
+        train, val = [make() for _ in range(batch)], [make() for _ in range(batch)]
+        theta, alpha, lam = rng.standard_normal(d), 0.25, 1.0
+    traj = gd_adapt(stack_objectives(train), np.tile(theta, (batch, 1)), alpha, 3)
+    return train, traj.final, validation_gradient(stack_objectives(val), traj), lam
+
+
+class TestStackedImaml:
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "sinusoid"])
+    def test_equals_per_task_solves(self, family):
+        train, phi, g, lam = _imaml_batch(family, np.random.default_rng(28))
+        mg = imaml_meta_gradient(stack_objectives(train), phi, g, lam)
+        singles = [imaml_meta_gradient(obj, phi[t], g[t], lam) for t, obj in enumerate(train)]
+        assert np.array_equal(mg.estimate, [s.estimate for s in singles])
+        assert mg.converged.tolist() == [s.converged for s in singles]
+        counts = [s.cost.hvp_total for s in singles]
+        assert mg.cost == CostCounters(sum(counts), max(counts), 4 * len(train))
+
+    def test_estimate_dispatches_a_stacked_trajectory(self):
+        train, phi, g, lam = _imaml_batch("logistic", np.random.default_rng(29))
+        traj = Trajectory(iterates=(phi, phi), alpha=0.25, objective=stack_objectives(train))
+        got = estimate(traj, g, EstimatorConfig(kind="imaml", imaml_lambda=lam))
+        assert np.array_equal(got.estimate, imaml_meta_gradient(traj.objective, phi, g, lam).estimate)
+
+    @pytest.mark.parametrize("field, value", [("imaml_lambda", math.nan), ("imaml_lambda", 0.0),
+                                              ("cg_tol", math.nan), ("cg_tol", -1.0)])
+    def test_config_rejects_bad_cg_knobs(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            EstimatorConfig(kind="imaml", **{field: value})
 
 
 class TestReptile:

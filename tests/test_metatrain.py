@@ -12,6 +12,7 @@ from metagrad import (
     EstimatorConfig,
     MetaGradient,
     MetaTrainConfig,
+    MlpObjective,
     QuadraticTask,
     TaskPair,
     Trajectory,
@@ -405,6 +406,27 @@ class TestStackedBatch:
         run_error_experiment(cfg, [0, 1], 2)
         assert shapes == [(4, 6)] * 3
 
+    def test_one_hvp_call_per_cg_iteration(self, monkeypatch):
+        # imaml's CG makes one hvp call per iteration of its slowest task, on the tasks still iterating
+        sent = []
+        hvp = MlpObjective.hvp
+        monkeypatch.setattr(MlpObjective, "hvp", lambda self, phi, v: sent.append(len(v)) or hvp(self, phi, v))
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="imaml", imaml_lambda=100.0), K=3, meta_batch=4,
+                              **_STACK_FAMILIES["sinusoid"])
+        rng = np.random.default_rng(7)
+        theta = initial_theta(cfg, rng)
+        tasks = sample_task_batch(cfg, rng)
+        _, row = meta_step(theta, tasks, cfg)
+        stacked, sent[:] = list(sent), []
+        per_task = []
+        for pair in tasks:
+            traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
+            per_task.append(estimate(traj, validation_gradient(pair.val, traj), cfg.estimator).cost.hvp_total)
+        assert len(set(per_task)) > 1  # the tasks leave the stack at different iterations
+        assert len(stacked) == max(per_task)
+        assert stacked == [sum(n > i for n in per_task) for i in range(max(per_task))]
+        assert row.hvp_total == sum(stacked) == sum(per_task)
+
     def test_hvp_total_is_batch_times_per_task_count(self):
         rng = np.random.default_rng(9)
         for kind, per_task in (("full", 5), ("trunc", 2), ("binom", 2 * 4), ("binom-trunc", 2 * 2)):
@@ -510,6 +532,18 @@ class TestStackedDivergence:
         tasks = [TaskPair(_zero_task(), _zero_task()), indefinite, indefinite]
         with pytest.raises(CGBreakdownError, match=r"^task 1: non-positive curvature"):
             meta_step(np.ones(2), tasks, cfg)
+
+    def test_imaml_breakdown_before_a_later_non_finite_map_output(self):
+        # task 1's map output overflows in CG iteration 1; task 0 breaks down only in iteration 2
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="imaml", imaml_lambda=1.0), alpha=0.1, K=1,
+                              meta_batch=2)
+        late = TaskPair(QuadraticTask(np.diag([0.0, -5.0]), np.zeros(2)),
+                        QuadraticTask(np.zeros((2, 2)), np.array([1.0, 0.1])))
+        huge = TaskPair(QuadraticTask(1e308 * np.eye(2), np.zeros(2)), QuadraticTask(np.zeros((2, 2)), np.full(2, 10.0)))
+        with pytest.raises(ValueError, match=r"^vector contains NaN or Inf$"):
+            meta_step(np.zeros(2), [_line_task(0.0, 1.0), huge], cfg)
+        with pytest.raises(CGBreakdownError, match=r"^task 0: non-positive curvature"):
+            meta_step(np.zeros(2), [late, huge], cfg)
 
     def test_meta_gradient_check_rejects_a_non_finite_row(self):
         with pytest.raises(DivergenceError, match=r"^fo estimate contains NaN/Inf$"):
