@@ -16,14 +16,10 @@ from .adaptation import (
 from .bounds import (
     BoundInputs,
     BoundValues,
-    binom_sum_collapse_check,
-    bound_ordering_check,
     bound_sweep,
     bounds_convex,
     bounds_smooth,
     bounds_strongcvx,
-    lemma_binom_bound_check,
-    lemma_partial_sum_identity,
     sweep_csv,
 )
 from .estimators import (

@@ -21,8 +21,7 @@ Three regimes:
              + (1-ah)^M sum_{l=L+1}^{K-M} C(K-M,l)(aH)^l] ||g||
 
 Binomial coefficients are evaluated in exact integer arithmetic and converted
-to float only at the final multiply, so the identity checks in this module
-cannot fail from coefficient round-off. A K <= 60 guard keeps the powers well
+to float only at the final multiply, so they carry no round-off. A K <= 60 guard keeps the powers well
 inside double range.
 """
 
@@ -121,49 +120,6 @@ def bounds_strongcvx(bi: BoundInputs) -> BoundValues:
     if bi.h > bi.H:
         raise ValueError("strong-convexity constant h cannot exceed H")
     return _strongcvx_values(bi)
-
-
-def bound_ordering_check(bi: BoundInputs) -> bool:
-    """True iff e_bin < e_tr < e_fo under the smooth-regime bounds.
-
-    The strict chain is only claimed for 1 <= L < K (at L = 0 the truncated
-    and first-order bounds coincide), so other L raise.
-    """
-    if not 1 <= bi.L < bi.K:
-        raise ValueError(f"ordering is only claimed for 1 <= L < K, got L={bi.L}, K={bi.K}")
-    v = bounds_smooth(bi)
-    return v.e_bin < v.e_tr < v.e_fo
-
-
-def lemma_partial_sum_identity(K: int, L: int, gamma: float):
-    """Both sides of the tail-sum identity
-
-        sum_{l=L+1}^{K} C(K,l) gamma^l
-            = gamma^{L+1} sum_{l=1}^{K-L} C(K-l,L) (1+gamma)^{l-1}
-
-    returned as (lhs, rhs) for equality testing. Needs 0 <= L <= K-1.
-    """
-    if not 0 <= L <= K - 1:
-        raise ValueError(f"need 0 <= L <= K-1, got L={L}, K={K}")
-    lhs = sum(math.comb(K, l) * gamma**l for l in range(L + 1, K + 1))
-    rhs = gamma ** (L + 1) * sum(
-        math.comb(K - l, L) * (1.0 + gamma) ** (l - 1) for l in range(1, K - L + 1)
-    )
-    return lhs, rhs
-
-
-def lemma_binom_bound_check(K: int, L: int) -> bool:
-    """True when C(K, L) < (e K / L)^L, which should hold for 1 <= L <= K."""
-    if not 1 <= L <= K:
-        raise ValueError(f"need 1 <= L <= K, got L={L}, K={K}")
-    return math.comb(K, L) < (math.e * K / L) ** L
-
-
-def binom_sum_collapse_check(K: int, L: int) -> bool:
-    """True iff sum_{l=1}^{K-L} C(K-l, L) == C(K, L+1) in exact integers."""
-    if not 0 <= L < K:
-        raise ValueError(f"need 0 <= L < K, got L={L}, K={K}")
-    return sum(math.comb(K - l, L) for l in range(1, K - L + 1)) == math.comb(K, L + 1)
 
 
 @dataclass(frozen=True)

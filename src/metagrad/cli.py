@@ -8,11 +8,14 @@ unknown config keys are rejected, and the resolved configuration is echoed to
 record; SVGs are derived views.
 
 Exit codes: 0 on success, 1 on a constraint error, 2 on numerical divergence.
+A failed run's stderr is one ``metagrad:`` line; numpy's warnings are silenced.
 """
 
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .adaptation import DivergenceError, from_hessian_sequence
 from .bounds import BoundInputs, bound_sweep, sweep_csv
@@ -325,7 +328,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(out_dir, args.command, cfg)
-        RUNNERS[args.command](cfg, out_dir)
+        with np.errstate(all="ignore"):  # every NaN/Inf raises through an explicit check
+            RUNNERS[args.command](cfg, out_dir)
     except (DivergenceError, CGBreakdownError) as exc:
         print(f"metagrad: numerical divergence: {exc}", file=sys.stderr)
         return 2

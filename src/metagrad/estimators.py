@@ -43,7 +43,7 @@ for that).
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class CostCounters:
 class MetaGradient:
     estimate: np.ndarray
     kind: str
-    L: Optional[int]
     cost: CostCounters
     converged: bool = True  # only the CG-based estimate can fail to converge (per row of a stack)
 
@@ -102,16 +101,18 @@ class EstimatorConfig:
     hybrid estimator (L <= C <= K), ``rescale_alpha`` swaps alpha for
     L*alpha/K inside the binomial expansion, ``imaml_lambda`` the implicit
     regularization weight, and ``reptile_eps`` the interpolation step in
-    (0, 1].
+    (0, 1]. imaml's CG always runs to relative residual ``cg_tol`` with no
+    iteration cap (``cg_iters`` None); both are constants, not fields.
     """
+
+    cg_tol: ClassVar[float] = 1e-10
+    cg_iters: ClassVar[Optional[int]] = None
 
     kind: str = "full"
     L: int = 0
     C: Optional[int] = None
     rescale_alpha: bool = False
     imaml_lambda: float = 1.0
-    cg_tol: float = 1e-10
-    cg_iters: Optional[int] = None
     reptile_eps: float = 1.0
 
     def __post_init__(self):
@@ -119,8 +120,6 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if not self.imaml_lambda > 0:  # written so that NaN fails too
             raise ValueError("imaml_lambda must be positive")
-        if not self.cg_tol > 0:
-            raise ValueError("cg_tol must be positive")
         if not 0.0 < self.reptile_eps <= 1.0:
             raise ValueError("reptile_eps must lie in (0, 1]")
 
@@ -202,19 +201,19 @@ def full_meta_gradient(traj: Trajectory, g) -> MetaGradient:
     """Exact product, applied right to left: the order-K expansion over all K
     steps, one HVP per stage."""
     v, _, cost = _expansion(traj, g, traj.K, traj.K)
-    return MetaGradient(v, "full", None, cost)
+    return MetaGradient(v, "full", cost)
 
 
 def fo_meta_gradient(g) -> MetaGradient:
     """First-order estimate: the validation gradient unchanged, zero HVPs."""
-    return MetaGradient(np.asarray(g, dtype=float), "fo", 0, CostCounters(0, 0, 0))
+    return MetaGradient(np.asarray(g, dtype=float), "fo", CostCounters(0, 0, 0))
 
 
 def trunc_meta_gradient(traj: Trajectory, g, L: int) -> MetaGradient:
     """Product of the last L factors only: the order-L expansion over the last
     L steps. L = 0 is the first-order estimate and L = K the exact product."""
     v, _, cost = _expansion(traj, g, L, L)
-    return MetaGradient(v, "trunc", L, cost)
+    return MetaGradient(v, "trunc", cost)
 
 
 def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> MetaGradient:
@@ -225,7 +224,7 @@ def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False
     (sequential depth L), with K-L+1 vectors live.
     """
     v, _, cost = _expansion(traj, g, L, traj.K, rescale_alpha)
-    return MetaGradient(v, "binom", L, cost)
+    return MetaGradient(v, "binom", cost)
 
 
 ORACLE_MAX_K = 14
@@ -266,7 +265,7 @@ def binomtrunc_meta_gradient(
     when on, still uses the full K.
     """
     v, _, cost = _expansion(traj, g, L, C, rescale_alpha)
-    return MetaGradient(v, "binom-trunc", L, cost)
+    return MetaGradient(v, "binom-trunc", cost)
 
 
 def imaml_meta_gradient(
@@ -301,7 +300,7 @@ def imaml_meta_gradient(
     result = conjugate_gradient(apply, g, tol=cg_tol, max_iters=cg_iters)
     # CG working set is four d-vectors per task (x, r, p, and the map output)
     cost = CostCounters(int(np.sum(result.row_iterations)), result.iterations, 4 * (g.size // g.shape[-1]))
-    return MetaGradient(result.x, "imaml", None, cost, converged=result.converged)
+    return MetaGradient(result.x, "imaml", cost, converged=result.converged)
 
 
 def reptile_direction(theta, finals) -> np.ndarray:

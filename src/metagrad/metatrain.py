@@ -66,7 +66,6 @@ class MetaTrainConfig:
     dim: int = 6              # parameter dimension (quadratic/logistic)
     hmax: float = 1.0         # curvature spectrum upper end (quadratic family)
     track_errors: bool = False
-    resample: bool = True     # fresh task batch every iteration
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -221,15 +220,14 @@ def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig
 
 
 def run_metatrain(cfg: MetaTrainConfig):
-    """Run cfg.iterations meta-steps; returns (records, final theta)."""
+    """Run cfg.iterations meta-steps, each on a fresh task batch; returns (records, final theta)."""
     init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     theta = initial_theta(cfg, np.random.default_rng(init_ss))
     task_rng = np.random.default_rng(task_ss)
-    fixed_batch = None if cfg.resample else sample_task_batch(cfg, task_rng)
 
     records = []
     for i in range(cfg.iterations):
-        tasks = sample_task_batch(cfg, task_rng) if cfg.resample else fixed_batch
+        tasks = sample_task_batch(cfg, task_rng)
         with _failure_prefix(f"meta-iteration {i}"):
             theta, row = meta_step(theta, tasks, cfg)
         records.append(replace(row, iteration=i))

@@ -19,7 +19,6 @@ single instance may be evaluated concurrently from many tasks.
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -173,16 +172,8 @@ def _unpack(theta: np.ndarray):
     return {name: theta[..., start:stop].reshape(lead + shape) for name, start, stop, shape in _MLP_SLICES}
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def mlp_init(seed) -> np.ndarray:
-    """Deterministic He-style initialization of the sine regressor, flattened.
-
-    ``seed`` is an integer seed or an already-constructed Generator.
-    """
-    rng = _as_rng(seed)
+def mlp_init(rng: np.random.Generator) -> np.ndarray:
+    """He-style initialization of the sine regressor, flattened; advances ``rng`` in place."""
     h = MLP_HIDDEN
     w1 = rng.standard_normal(h) * np.sqrt(2.0 / 1.0)
     w2 = rng.standard_normal((h, h)) * np.sqrt(2.0 / h)
@@ -285,16 +276,14 @@ class SinusoidTask:
         return MlpObjective(self.x_val, self.y_val)
 
 
-def sample_sinusoid_batch(seed, batch: int, shots: int):
+def sample_sinusoid_batch(rng: np.random.Generator, batch: int, shots: int):
     """Sample ``batch`` sine tasks with ``shots`` train and val points each.
 
     Amplitudes are uniform on [0.1, 5.0], phases uniform on [0, pi], inputs
-    uniform on [-5, 5]; the draw is deterministic given the seed (an integer,
-    or a Generator advanced in place).
+    uniform on [-5, 5]; the draw advances ``rng`` in place.
     """
     if batch < 1 or shots < 1:
         raise ValueError("batch and shots must be >= 1")
-    rng = _as_rng(seed)
     tasks = []
     for _ in range(batch):
         amplitude = float(rng.uniform(*AMPLITUDE_RANGE))
@@ -324,7 +313,6 @@ class PrescribedHessianSequence:
 
     hessians: tuple
     g: np.ndarray
-    smoothness: Optional[float] = None
 
     def __post_init__(self):
         hs = tuple(as_matrix(h) for h in self.hessians)
@@ -335,9 +323,6 @@ class PrescribedHessianSequence:
                 raise ValueError(f"Hessian {k} has shape {h.shape}, expected {(d, d)}")
             if not is_symmetric(h):
                 raise ValueError(f"Hessian {k} is not symmetric")
-            if self.smoothness is not None:
-                if float(np.linalg.norm(h, 2)) > self.smoothness * (1 + 1e-12):
-                    raise ValueError(f"Hessian {k} exceeds declared smoothness bound")
         object.__setattr__(self, "hessians", hs)
         object.__setattr__(self, "g", g)
 
@@ -353,8 +338,9 @@ class PrescribedHessianSequence:
 SHARPNESS_KINDS = ("theorem2-neg", "theorem3-pos", "theorem3-trunc")
 
 
-def sharpness_sequence(kind: str, K: int, L: int, H: float, d: int, g=None) -> PrescribedHessianSequence:
-    """Curvature sequences for which the closed-form error bounds are tight.
+def sharpness_sequence(kind: str, K: int, L: int, H: float, d: int) -> PrescribedHessianSequence:
+    """Curvature sequences for which the closed-form error bounds are tight,
+    with validation gradient g = e_0 (the first unit vector).
 
     kind selects the construction:
       * "theorem2-neg":   H^k = -H I for every step
@@ -376,10 +362,9 @@ def sharpness_sequence(kind: str, K: int, L: int, H: float, d: int, g=None) -> P
         hs = tuple(H * eye if k < K - L else np.zeros((d, d)) for k in range(K))
     else:
         raise ValueError(f"unknown sharpness kind {kind!r}; expected one of {SHARPNESS_KINDS}")
-    if g is None:
-        g = np.zeros(d)
-        g[0] = 1.0
-    return PrescribedHessianSequence(hessians=hs, g=as_vector(g), smoothness=H)
+    g = np.zeros(d)
+    g[0] = 1.0
+    return PrescribedHessianSequence(hessians=hs, g=g)
 
 
 def random_spd(rng: np.random.Generator, d: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

@@ -1,19 +1,27 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from metagrad import (
+    BoundInputs,
     PrescribedHessianSequence,
     QuadraticTask,
     Trajectory,
+    bounds_smooth,
     from_hessian_sequence,
     gd_adapt,
+    meta_step,
     mlp_init,
     random_logistic,
     random_quadratic,
     sample_sinusoid_batch,
+    sample_task_batch,
     validation_gradient,
 )
 from metagrad.estimators import _cascade
+from metagrad.metatrain import initial_theta
 
 
 @pytest.fixture
@@ -103,8 +111,60 @@ def binom_expansion_matrix(traj, L):
     return _cascade(stage, 0, traj.K, (L,), traj.alpha, np.eye(traj.dim))[0][L]
 
 
-def strict_lower_ones(n: int) -> np.ndarray:
-    """n x n matrix with entry (i, j) = 1 iff i > j, else 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.tril(np.ones((n, n)), k=-1)
+def meta_loop(cfg, fixed_batch=False):
+    """run_metatrain's loop by hand, seeded as it seeds: ``initial_theta``, then
+    ``sample_task_batch`` + ``meta_step`` per iteration (the benchmark worker's
+    op), or one batch drawn once and reused when ``fixed_batch``. Returns
+    (records, final theta)."""
+    init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    theta = initial_theta(cfg, np.random.default_rng(init_ss))
+    task_rng = np.random.default_rng(task_ss)
+    batch = sample_task_batch(cfg, task_rng) if fixed_batch else None
+    records = []
+    for i in range(cfg.iterations):
+        theta, row = meta_step(theta, batch if fixed_batch else sample_task_batch(cfg, task_rng), cfg)
+        records.append(replace(row, iteration=i))
+    return records, theta
+
+
+def bound_ordering_check(bi: BoundInputs) -> bool:
+    """True iff e_bin < e_tr < e_fo under the smooth-regime bounds.
+
+    The strict chain is only claimed for 1 <= L < K (at L = 0 the truncated
+    and first-order bounds coincide), so other L raise.
+    """
+    if not 1 <= bi.L < bi.K:
+        raise ValueError(f"ordering is only claimed for 1 <= L < K, got L={bi.L}, K={bi.K}")
+    v = bounds_smooth(bi)
+    return v.e_bin < v.e_tr < v.e_fo
+
+
+def lemma_partial_sum_identity(K: int, L: int, gamma: float):
+    """Both sides of the tail-sum identity
+
+        sum_{l=L+1}^{K} C(K,l) gamma^l
+            = gamma^{L+1} sum_{l=1}^{K-L} C(K-l,L) (1+gamma)^{l-1}
+
+    returned as (lhs, rhs) for equality testing. Needs 0 <= L <= K-1.
+    """
+    if not 0 <= L <= K - 1:
+        raise ValueError(f"need 0 <= L <= K-1, got L={L}, K={K}")
+    lhs = sum(math.comb(K, l) * gamma**l for l in range(L + 1, K + 1))
+    rhs = gamma ** (L + 1) * sum(
+        math.comb(K - l, L) * (1.0 + gamma) ** (l - 1) for l in range(1, K - L + 1)
+    )
+    return lhs, rhs
+
+
+def lemma_binom_bound_check(K: int, L: int) -> bool:
+    """True when C(K, L) < (e K / L)^L, which should hold for 1 <= L <= K."""
+    if not 1 <= L <= K:
+        raise ValueError(f"need 1 <= L <= K, got L={L}, K={K}")
+    return math.comb(K, L) < (math.e * K / L) ** L
+
+
+def binom_sum_collapse_check(K: int, L: int) -> bool:
+    """True iff sum_{l=1}^{K-L} C(K-l, L) == C(K, L+1) in exact integers."""
+    if not 0 <= L < K:
+        raise ValueError(f"need 0 <= L < K, got L={L}, K={K}")
+    return sum(math.comb(K - l, L) for l in range(1, K - L + 1)) == math.comb(K, L + 1)

@@ -8,7 +8,16 @@ import time
 
 import numpy as np
 
-from conftest import logistic_trajectory, prescribed_trajectory, quadratic_trajectory, sine_trajectory
+from conftest import (
+    binom_sum_collapse_check,
+    lemma_binom_bound_check,
+    lemma_partial_sum_identity,
+    logistic_trajectory,
+    meta_loop,
+    prescribed_trajectory,
+    quadratic_trajectory,
+    sine_trajectory,
+)
 from metagrad import (
     BoundInputs,
     EstimatorConfig,
@@ -16,7 +25,6 @@ from metagrad import (
     QuadraticTask,
     binom_meta_gradient,
     binom_oracle,
-    binom_sum_collapse_check,
     binomtrunc_meta_gradient,
     bound_sweep,
     bounds_convex,
@@ -25,8 +33,6 @@ from metagrad import (
     from_hessian_sequence,
     full_meta_gradient,
     imaml_meta_gradient,
-    lemma_binom_bound_check,
-    lemma_partial_sum_identity,
     random_spd,
     run_error_experiment,
     run_metatrain,
@@ -277,9 +283,9 @@ def test_criterion_9_meta_training_sanity():
 
     quad = MetaTrainConfig(
         estimator=EstimatorConfig(kind="full"), family="quadratic", alpha=0.25,
-        beta=1e-3, K=5, meta_batch=10, dim=6, iterations=1000, seed=100, resample=False,
+        beta=1e-3, K=5, meta_batch=10, dim=6, iterations=1000, seed=100,
     )
-    records, _ = run_metatrain(quad)
+    records, _ = meta_loop(quad, fixed_batch=True)
     losses = [r.meta_loss for r in records]
     monotone = all(b <= a + 1e-12 * abs(a) for a, b in zip(losses, losses[1:]))
     ok = ok and monotone

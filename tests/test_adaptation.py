@@ -101,8 +101,8 @@ class TestValidationGradient:
         assert np.array_equal(validation_gradient(val, traj), [0.0, 0.0])
 
     def test_sinusoid_deterministic(self):
-        (task,) = sample_sinusoid_batch(17, 1, 10)
-        theta = mlp_init(17)
+        (task,) = sample_sinusoid_batch(np.random.default_rng(17), 1, 10)
+        theta = mlp_init(np.random.default_rng(17))
         g1 = validation_gradient(task.val_objective(), gd_adapt(task.train_objective(), theta, 0.01, 3))
         g2 = validation_gradient(task.val_objective(), gd_adapt(task.train_objective(), theta, 0.01, 3))
         assert np.array_equal(g1, g2)

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import prescribed_trajectory, step_hessian
-from metagrad import (
-    BoundInputs,
+from conftest import (
     binom_sum_collapse_check,
     bound_ordering_check,
+    lemma_binom_bound_check,
+    lemma_partial_sum_identity,
+    prescribed_trajectory,
+    step_hessian,
+)
+from metagrad import (
+    BoundInputs,
     bound_sweep,
     bounds_convex,
     bounds_smooth,
     bounds_strongcvx,
-    lemma_binom_bound_check,
-    lemma_partial_sum_identity,
     sweep_csv,
 )
 from metagrad.bounds import SWEEP_CSV_HEADER

@@ -1,12 +1,18 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from metagrad.cli import main
 from metagrad.svgchart import line_chart
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path):
@@ -169,7 +175,6 @@ class TestMetatrain:
         err = capsys.readouterr().err
         assert "diverge" in err and "task 0" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_meta_loss_exits_two(self, tmp_path, capsys):
         # K = 1 keeps the iterate finite; the validation loss overflows to Inf
         args = [
@@ -180,7 +185,6 @@ class TestMetatrain:
         assert "task 0: validation loss is NaN/Inf" in capsys.readouterr().err
         assert not (tmp_path / "x" / "train.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_meta_update_norm_exits_two(self, tmp_path, capsys):
         # every estimate is finite, but the norm of their mean overflows
         args = [
@@ -191,6 +195,19 @@ class TestMetatrain:
         assert "meta-iteration 0: meta-update norm is NaN/Inf" in capsys.readouterr().err
         assert not (tmp_path / "x" / "train.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--estimator", "imaml", "--alpha", "1e300", "--K", "1", "--iters", "2", "--batch", "2"],
+        ["--H", "1e200", "--iters", "3"],
+    ])
+    def test_overflow_prints_one_stderr_line(self, tmp_path, argv):
+        # numpy's overflow warnings stay off stderr; the run's one line is its divergence report
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        cmd = [sys.executable, "-m", "metagrad.cli", "metatrain", "--family", "quadratic", *argv,
+               "--out", str(tmp_path / "x")]
+        run = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert run.stderr.startswith("metagrad: numerical divergence: ") and run.stderr.count("\n") == 1
+
     def test_flat_large_meta_loss_charts(self, tmp_path):
         # one meta-loss of about 2.8e19, where y + 1 rounds back to y
         out = tmp_path / "x"
@@ -200,7 +217,6 @@ class TestMetatrain:
         assert loss + 1.0 == loss
         assert polyline_count(out / "loss_curve.svg") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_sweep_divergence_names_batch_task_and_step(self, tmp_path, capsys):
         # K = 1 keeps the iterate finite, so the cascade is the first to overflow
         args = [

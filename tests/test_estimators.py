@@ -444,8 +444,7 @@ class TestStackedImaml:
         got = estimate(traj, g, EstimatorConfig(kind="imaml", imaml_lambda=lam))
         assert np.array_equal(got.estimate, imaml_meta_gradient(traj.objective, phi, g, lam).estimate)
 
-    @pytest.mark.parametrize("field, value", [("imaml_lambda", math.nan), ("imaml_lambda", 0.0),
-                                              ("cg_tol", math.nan), ("cg_tol", -1.0)])
+    @pytest.mark.parametrize("field, value", [("imaml_lambda", math.nan), ("imaml_lambda", 0.0)])
     def test_config_rejects_bad_cg_knobs(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
             EstimatorConfig(kind="imaml", **{field: value})

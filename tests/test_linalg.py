@@ -1,27 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import strict_lower_ones
 from metagrad import CGBreakdownError, conjugate_gradient, is_symmetric
-
-
-class TestStrictLowerOnes:
-    def test_smallest(self):
-        assert np.array_equal(strict_lower_ones(1), [[0.0]])
-
-    def test_two(self):
-        assert np.array_equal(strict_lower_ones(2), [[0.0, 0.0], [1.0, 0.0]])
-
-    def test_column_sums(self):
-        assert np.array_equal(strict_lower_ones(4).sum(axis=0), [3.0, 2.0, 1.0, 0.0])
-
-    @pytest.mark.parametrize("n", range(1, 12))
-    def test_number_of_ones(self, n):
-        assert strict_lower_ones(n).sum() == n * (n - 1) // 2
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            strict_lower_ones(0)
 
 
 class TestSymmetry:

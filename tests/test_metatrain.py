@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logistic_trajectory, prescribed_trajectory, quadratic_trajectory, sine_trajectory
+from conftest import logistic_trajectory, meta_loop, prescribed_trajectory, quadratic_trajectory, sine_trajectory
 from metagrad import (
     CGBreakdownError,
     CostCounters,
@@ -148,12 +148,21 @@ class TestRunMetatrain:
             dim=4,
             seed=11,
             beta=1e-3,
-            resample=False,
         )
-        records, _ = run_metatrain(cfg)
+        records, _ = meta_loop(cfg, fixed_batch=True)
         losses = [r.meta_loss for r in records]
         for prev, cur in zip(losses, losses[1:]):
             assert cur <= prev + 1e-12 * abs(prev)
+
+    @pytest.mark.parametrize("family, alpha", [("quadratic", 0.25), ("sinusoid", 1e-3)])
+    def test_equals_the_bench_loop(self, family, alpha):
+        # what the benchmark worker times (sample_task_batch + meta_step) is what the CLI runs
+        cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="binom", L=2), family=family, alpha=alpha,
+                              iterations=3, meta_batch=3, dim=4, shots=5, seed=7, track_errors=True)
+        records, theta = run_metatrain(cfg)
+        want_records, want_theta = meta_loop(cfg)
+        assert records == want_records
+        assert np.array_equal(theta, want_theta)
 
     def test_reptile_runs(self):
         cfg = MetaTrainConfig(
@@ -547,4 +556,4 @@ class TestStackedDivergence:
 
     def test_meta_gradient_check_rejects_a_non_finite_row(self):
         with pytest.raises(DivergenceError, match=r"^fo estimate contains NaN/Inf$"):
-            MetaGradient(np.array([[1.0, 2.0], [1.0, np.nan], [np.inf, 0.0]]), "fo", 0, CostCounters(0, 0, 0))
+            MetaGradient(np.array([[1.0, 2.0], [1.0, np.nan], [np.inf, 0.0]]), "fo", CostCounters(0, 0, 0))
