@@ -33,7 +33,8 @@ Every estimator is a pure function of (trajectory, g, parameters); both may be
 stacked over B tasks, giving a B x d estimate whose ``CostCounters`` cover the
 whole stack. A stage's HVPs are independent, so each stage is one
 ``hvp`` call on width x B rows, each bit for bit the single HVP. imaml runs one
-stacked CG: each iteration is one ``hvp`` call on the tasks still iterating.
+stacked CG: each iteration applies the objective's ``linearize`` operator once
+to the tasks still iterating, and the operator is rebuilt only when one leaves.
 The fixed descending-index summation order and stage barrier are the only
 contract, so the result equals the one-HVP-at-a-time, one-task-at-a-time
 schedule bit for bit. The first NaN/Inf in any row raises at once; it names the
@@ -279,8 +280,9 @@ def imaml_meta_gradient(
     """Implicit estimate: solve (I + H/lambda) x = g at phi_final by CG.
 
     phi_final and g are (d,), or B x d with ``obj`` a ``stack_objectives``
-    stack: then one CG runs all B systems, each iteration one ``hvp`` call on
-    the tasks still iterating. The map must be SPD at phi_final (true whenever
+    stack: then one CG runs all B systems, each iteration one application of
+    ``obj.linearize(phi_final)`` to the tasks still iterating (linearized again
+    only when one converges and leaves). The map must be SPD at phi_final (true whenever
     the local Hessian is strictly above -lambda I); CG raises on non-positive
     curvature, and non-convergence is reported through the returned
     counters/flag rather than aborting. One HVP per task and CG iteration.
@@ -289,13 +291,13 @@ def imaml_meta_gradient(
         raise ValueError("lambda must be positive")
     phi_final = np.asarray(phi_final, dtype=float)
     g = np.asarray(g, dtype=float)
-    live_obj, live_phi = obj, phi_final  # cut down to the live tasks when one converges
+    op, live = obj.linearize(phi_final), len(phi_final)  # rebuilt for the live tasks when one converges
 
     def apply(v, rows=None):
-        nonlocal live_obj, live_phi
-        if rows is not None and len(rows) != len(live_phi):
-            live_obj, live_phi = take_rows(obj, rows), phi_final[rows]
-        return v + live_obj.hvp(live_phi, v) / lam
+        nonlocal op, live
+        if rows is not None and len(rows) != live:
+            op, live = take_rows(obj, rows).linearize(phi_final[rows]), len(rows)
+        return v + op(v) / lam
 
     result = conjugate_gradient(apply, g, tol=cg_tol, max_iters=cg_iters)
     # CG working set is four d-vectors per task (x, r, p, and the map output)

@@ -1,10 +1,13 @@
 """Smooth task objectives: value, gradient, and Hessian-vector products.
 
 A task objective exposes ``value``, ``gradient`` and ``hvp``; ``hvp`` takes one
-(point, direction) pair or B x d stacks of them. ``stack_objectives`` puts B
-tasks on a leading axis (A as B x d x d, X as B x d x n, sine data as B x n);
-each method takes B x d points, task t's result bit for bit in row t, and
-``take_rows`` keeps a subset of the rows. Families:
+(point, direction) pair or B x d stacks of them, and ``linearize(phi)`` returns
+the HVP operator at phi for many directions (imaml applies one per live set of
+tasks). ``stack_objectives`` puts B tasks on a leading axis (A as B x d x d, X
+as B x d x n, sine data as B x n); each method takes B x d points, task t's
+result bit for bit in row t, and ``take_rows`` keeps a subset of the rows. The
+sine regressor serves a cascade stage B rows at a time with no stacked copy.
+Families:
 
 * :class:`QuadraticTask` -- closed-form constant-Hessian oracle family.
 * :class:`LogisticTask` -- convex NLL with an analytic HVP.
@@ -51,6 +54,11 @@ class TaskObjective(abc.ABC):
     @abc.abstractmethod
     def hvp(self, phi, v) -> np.ndarray: ...
 
+    def linearize(self, phi):
+        """The HVP operator at phi: ``linearize(phi)(v)`` is ``hvp(phi, v)``. A family may
+        compute what depends on phi alone once, for every direction it is applied to."""
+        return lambda v: self.hvp(phi, v)
+
 
 def _matvec(m, v):
     # m @ v for one vector, row by row for a stack: each row is the same gemv as
@@ -58,11 +66,12 @@ def _matvec(m, v):
     return np.matmul(m, v[..., None])[..., 0]
 
 
-def _hvp_args(phi, v):
-    phi, v = as_vectors(phi), as_vectors(v)
+def _direction(phi, v):
+    # the direction v, validated against an already validated point phi
+    v = as_vectors(v)
     if phi.shape != v.shape:
         raise ValueError(f"hvp takes phi and v of one shape, (d,) or stacked, got {phi.shape} and {v.shape}")
-    return phi, v
+    return v
 
 
 def stack_objectives(objs) -> TaskObjective:
@@ -106,7 +115,7 @@ class QuadraticTask(TaskObjective):
         return _matvec(self.a, as_vectors(phi)) + self.b
 
     def hvp(self, phi, v) -> np.ndarray:
-        return _matvec(self.a, _hvp_args(phi, v)[1])
+        return _matvec(self.a, _direction(as_vectors(phi), v))
 
 
 class LogisticTask(TaskObjective):
@@ -143,7 +152,8 @@ class LogisticTask(TaskObjective):
         return _matvec(self.x, self._sigmoid(z) - self.y) / self.n
 
     def hvp(self, phi, v) -> np.ndarray:
-        phi, v = _hvp_args(phi, v)
+        phi = as_vectors(phi)
+        v = _direction(phi, v)
         xt = self.x.swapaxes(-1, -2)
         s = self._sigmoid(_matvec(xt, phi))
         return _matvec(self.x, (s * (1.0 - s)) * _matvec(xt, v)) / self.n
@@ -188,9 +198,14 @@ class MlpObjective(TaskObjective):
     Gradients are exact (hand backprop). HVPs are exact too: Pearlmutter's
     R-op (forward-over-reverse), which differentiates the backprop pass along
     the direction v, at about the cost of two gradients and with no step size.
-    On stacks every R-op array has a leading batch axis; a stage x B stack runs B
-    rows per call (a dozen temporaries per row cost memory, and wider calls run
-    no faster). Each row is bit for bit the single-pair product.
+    ``linearize(theta)`` runs the forward pass and every R-op term that depends
+    on theta alone once; its operator runs the half that depends on v, so imaml's
+    CG pays the first half once per live set of tasks. On stacks every R-op array
+    has a leading batch axis. A cascade stage of B x d entries goes B rows at a
+    time, each entry's products straight into its row of the result with no
+    stacked copy (a dozen temporaries per row cost memory, and wider calls run no
+    faster); a single task's stage of (d,) entries is one call on its rows. Each
+    row is bit for bit the single-pair product.
     """
 
     def __init__(self, x, y):
@@ -225,37 +240,45 @@ class MlpObjective(TaskObjective):
         return np.concatenate(blocks, axis=-1)
 
     def hvp(self, theta, v) -> np.ndarray:
-        theta, v = _hvp_args(theta, v)
-        if theta.ndim < 3:
-            return self._r_op(theta, v)
-        out = np.empty(v.shape)
-        for i in range(len(v)):
-            out[i] = self._r_op(theta[i], v[i])
+        if (isinstance(theta, np.ndarray) and theta.ndim < 3) or np.ndim(theta[0]) != 2:
+            return self.linearize(theta)(v)  # a pair, a B x d stack, or a stage of (d,) entries stacked
+        # a stage of B x d entries (a sequence or a width x B x d array): entry j goes straight into row j
+        if len(theta) != len(v):
+            raise ValueError(f"hvp takes phi and v of one shape, got stages of {len(theta)} and {len(v)}")
+        out = np.empty((len(v),) + np.shape(v[0]))
+        for j in range(len(v)):
+            self.linearize(theta[j])(v[j], out=out[j])
         return out
 
-    def _r_op(self, theta, v):
+    def linearize(self, theta):
+        # the R-op's terms that depend on theta alone, computed once; the operator runs the v-dependent half
+        theta = as_vectors(theta)
         p, h1, h2, yhat = self._forward(theta)
-        q = _unpack(v)
         n = self.x.shape[-1]
         dy = (2.0 * (yhat - self.y) / n)[..., None, :]
         s1 = 1.0 - h1 * h1
         s2 = 1.0 - h2 * h2
         w2t = p["w2"].swapaxes(-1, -2)
-        # R-forward: directional derivatives of the activations and the residual
-        rh1 = s1 * (q["w1"][..., None] * self.x[..., None, :] + q["b1"][..., None])
-        rh2 = s2 * (q["w2"] @ h1 + p["w2"] @ rh1 + q["b2"][..., None])
-        rdy = (p["w3"][..., None, :] @ rh2 + q["w3"][..., None, :] @ h2 + q["b3"][..., None]) * (2.0 / n)
-        # R-backward: each line of gradient() differentiated, with R(1 - h^2) = -2 h Rh
         g2 = p["w3"][..., None] * dy
         da2 = g2 * s2
-        rda2 = (q["w3"][..., None] * dy + p["w3"][..., None] * rdy) * s2 - 2.0 * g2 * h2 * rh2
         g1 = w2t @ da2
-        rda1 = (q["w2"].swapaxes(-1, -2) @ da2 + w2t @ rda2) * s1 - 2.0 * g1 * h1 * rh1
-        rdw2 = rda2 @ h1.swapaxes(-1, -2) + da2 @ rh1.swapaxes(-1, -2)
-        rdw3 = rh2 @ dy.swapaxes(-1, -2) + h2 @ rdy.swapaxes(-1, -2)
-        blocks = [_matvec(rda1, self.x), rda1.sum(axis=-1), rdw2.reshape(theta.shape[:-1] + (-1,)),
-                  rda2.sum(axis=-1), rdw3[..., 0], rdy.sum(axis=-1)]
-        return np.concatenate(blocks, axis=-1)
+
+        def op(v, out=None):
+            q = _unpack(_direction(theta, v))
+            # R-forward: directional derivatives of the activations and the residual
+            rh1 = s1 * (q["w1"][..., None] * self.x[..., None, :] + q["b1"][..., None])
+            rh2 = s2 * (q["w2"] @ h1 + p["w2"] @ rh1 + q["b2"][..., None])
+            rdy = (p["w3"][..., None, :] @ rh2 + q["w3"][..., None, :] @ h2 + q["b3"][..., None]) * (2.0 / n)
+            # R-backward: each line of gradient() differentiated, with R(1 - h^2) = -2 h Rh
+            rda2 = (q["w3"][..., None] * dy + p["w3"][..., None] * rdy) * s2 - 2.0 * g2 * h2 * rh2
+            rda1 = (q["w2"].swapaxes(-1, -2) @ da2 + w2t @ rda2) * s1 - 2.0 * g1 * h1 * rh1
+            rdw2 = rda2 @ h1.swapaxes(-1, -2) + da2 @ rh1.swapaxes(-1, -2)
+            rdw3 = rh2 @ dy.swapaxes(-1, -2) + h2 @ rdy.swapaxes(-1, -2)
+            blocks = [_matvec(rda1, self.x), rda1.sum(axis=-1), rdw2.reshape(theta.shape[:-1] + (-1,)),
+                      rda2.sum(axis=-1), rdw3[..., 0], rdy.sum(axis=-1)]
+            return np.concatenate(blocks, axis=-1, out=out)
+
+        return op
 
 
 @dataclass(frozen=True)

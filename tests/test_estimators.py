@@ -438,6 +438,20 @@ class TestStackedImaml:
         counts = [s.cost.hvp_total for s in singles]
         assert mg.cost == CostCounters(sum(counts), max(counts), 4 * len(train))
 
+    def test_linearized_once_per_live_set(self, monkeypatch):
+        # CG builds its operator at the start and again only when tasks leave with others still iterating
+        train, phi, g, lam = _imaml_batch("sinusoid", np.random.default_rng(30), batch=4)
+        iters = [imaml_meta_gradient(obj, phi[t], g[t], lam).cost.hvp_total for t, obj in enumerate(train)]
+        retires = sorted(set(iters))[:-1]  # the last retire event ends the solve
+        assert retires
+        built = []
+        linearize = MlpObjective.linearize
+        monkeypatch.setattr(MlpObjective, "linearize", lambda self, p: built.append(len(p)) or linearize(self, p))
+        mg = imaml_meta_gradient(stack_objectives(train), phi, g, lam)
+        assert built == [len(train)] + [sum(n > r for n in iters) for r in retires]
+        assert len(built) == 1 + len(retires) < max(iters)
+        assert mg.cost.hvp_total == sum(iters)
+
     def test_estimate_dispatches_a_stacked_trajectory(self):
         train, phi, g, lam = _imaml_batch("logistic", np.random.default_rng(29))
         traj = Trajectory(iterates=(phi, phi), alpha=0.25, objective=stack_objectives(train))

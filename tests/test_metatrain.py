@@ -416,10 +416,15 @@ class TestStackedBatch:
         assert shapes == [(4, 6)] * 3
 
     def test_one_hvp_call_per_cg_iteration(self, monkeypatch):
-        # imaml's CG makes one hvp call per iteration of its slowest task, on the tasks still iterating
+        # imaml's CG applies its operator once per iteration of its slowest task, on the tasks still iterating
         sent = []
-        hvp = MlpObjective.hvp
-        monkeypatch.setattr(MlpObjective, "hvp", lambda self, phi, v: sent.append(len(v)) or hvp(self, phi, v))
+        linearize = MlpObjective.linearize
+
+        def counting(self, phi):
+            op = linearize(self, phi)
+            return lambda v: sent.append(len(v)) or op(v)
+
+        monkeypatch.setattr(MlpObjective, "linearize", counting)
         cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="imaml", imaml_lambda=100.0), K=3, meta_batch=4,
                               **_STACK_FAMILIES["sinusoid"])
         rng = np.random.default_rng(7)

@@ -179,6 +179,21 @@ class TestHvpContract:
             with pytest.raises(ValueError, match="hvp takes phi and v of one shape"):
                 obj.hvp(*args)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_linearize_equals_hvp(self, family):
+        # one operator serves every direction at its point, each product bit for bit hvp's
+        rng = np.random.default_rng(39)
+        obj, phi = _objective_and_point(family, rng)
+        for point in (phi, phi + 0.01 * rng.standard_normal((3, obj.dim))):
+            op = obj.linearize(point)
+            vs = rng.standard_normal((3,) + point.shape)
+            vs[1] = 0.0
+            for v in vs:
+                assert np.array_equal(op(v), obj.hvp(point, v))
+            assert np.array_equal(op(vs[1]), np.zeros(point.shape))
+            with pytest.raises(ValueError, match="hvp takes phi and v of one shape"):
+                op(vs)
+
     def test_mlp_matches_finite_difference(self):
         rng = np.random.default_rng(34)
         for _ in range(4):
@@ -214,6 +229,31 @@ class TestStackedObjectives:
                 assert np.array_equal(stacked.hvp(stage[j], vs[j]), rows[j])
                 for t, obj in enumerate(objs):
                     assert np.array_equal(rows[j, t], obj.hvp(stage[j][t], vs[j][t]))
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["sequence", "array"])
+    def test_mlp_stage_served_entry_by_entry(self, monkeypatch, as_array):
+        # a stage goes one B x d entry at a time, straight into its row, equal to the per-pair products
+        rng = np.random.default_rng(40)
+        pairs = [_objective_and_point("mlp", rng) for _ in range(4)]
+        stacked = stack_objectives([obj for obj, _ in pairs])
+        phis = np.array([phi for _, phi in pairs])
+        stage = tuple(phis + 0.01 * rng.standard_normal(phis.shape) for _ in range(3))
+        vs = [rng.standard_normal(phis.shape) for _ in range(3)]
+        vs[1][2] = 0.0
+        if as_array:
+            stage, vs = np.array(stage), np.array(vs)
+        points = []
+        linearize = MlpObjective.linearize
+        monkeypatch.setattr(MlpObjective, "linearize", lambda self, p: points.append(p) or linearize(self, p))
+        rows = stacked.hvp(stage, vs)
+        assert len(points) == 3 and all(np.shares_memory(p, entry) for p, entry in zip(points, stage))
+        assert rows.shape == (3, 4, stacked.dim)
+        for j in range(3):
+            for t, (obj, _) in enumerate(pairs):
+                assert np.array_equal(rows[j, t], obj.hvp(stage[j][t], vs[j][t]))
+        assert np.array_equal(rows[1, 2], np.zeros(stacked.dim))
+        with pytest.raises(ValueError, match="hvp takes phi and v of one shape"):
+            stacked.hvp(stage, vs[:2])
 
     def test_one_family_only(self):
         rng = np.random.default_rng(38)

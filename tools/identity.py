@@ -30,6 +30,13 @@ OVERFLOW = [
     ["metatrain", "--family", "quadratic", "--H", "1e200", "--iters", "3"],
 ]
 
+# NaN/Inf hyperparameters: alpha and a NaN lambda exit 1 naming the field; an infinite lambda is accepted
+NON_FINITE = [
+    ["metatrain", "--alpha", "nan", "--iters", "1"],
+    ["metatrain", "--estimator", "imaml", "--lambda", "nan", "--iters", "1"],
+    ["metatrain", "--estimator", "imaml", "--lambda", "inf", "--iters", "1"],
+]
+
 
 def matrix():
     runs = []
@@ -39,11 +46,12 @@ def matrix():
         for kind in KINDS:
             argv = ["metatrain", "--family", family, "--estimator", kind, "--L", "2", "--C", "3", "--iters", iters]
             runs.append(argv + ["--track-errors"] * track)
+    runs.append(["metatrain", "--family", "sinusoid", "--estimator", "imaml", "--L", "2", "--C", "3", "--iters", "3"])
     for family in ("quadratic", "logistic", "sinusoid"):
         sweep = ["error-sweep", "--family", family, "--batches", "3"]
-        runs += [sweep + ["--K", "10"], sweep + ["--rescale-alpha"]]
+        runs += [sweep + ["--K", "10"], sweep + ["--K", "1"], sweep + ["--rescale-alpha"]]
     runs += [["bounds"], ["bounds", "--theorem", "4"], ["cost"], ["cost", "--K", "8"]]
-    return runs + OVERFLOW
+    return runs + OVERFLOW + NON_FINITE
 
 
 def export(rev: str, dest: Path):
