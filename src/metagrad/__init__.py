@@ -46,6 +46,7 @@ from .linalg import (
 from .metatrain import (
     ErrorRow,
     MetaTrainConfig,
+    TaskBatch,
     TaskPair,
     TrainRecordRow,
     averaged_csv,
@@ -61,13 +62,9 @@ from .objectives import (
     MlpObjective,
     PrescribedHessianSequence,
     QuadraticTask,
-    SinusoidTask,
     TaskObjective,
     mlp_init,
-    random_logistic,
-    random_quadratic,
     random_spd,
-    sample_sinusoid_batch,
     sharpness_sequence,
     stack_objectives,
 )

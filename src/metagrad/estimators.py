@@ -43,6 +43,7 @@ for that).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -121,6 +122,8 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if not self.imaml_lambda > 0:  # written so that NaN fails too
             raise ValueError("imaml_lambda must be positive")
+        if self.imaml_lambda == math.inf:  # the CG map would be the identity: imaml would silently be fo
+            raise ValueError("imaml_lambda must be finite")
         if not 0.0 < self.reptile_eps <= 1.0:
             raise ValueError("reptile_eps must lie in (0, 1]")
 
@@ -279,8 +282,8 @@ def imaml_meta_gradient(
 ) -> MetaGradient:
     """Implicit estimate: solve (I + H/lambda) x = g at phi_final by CG.
 
-    phi_final and g are (d,), or B x d with ``obj`` a ``stack_objectives``
-    stack: then one CG runs all B systems, each iteration one application of
+    phi_final and g are (d,), or B x d with ``obj`` a stacked objective
+    (B tasks): then one CG runs all B systems, each iteration one application of
     ``obj.linearize(phi_final)`` to the tasks still iterating (linearized again
     only when one converges and leaves). The map must be SPD at phi_final (true whenever
     the local Hessian is strictly above -lambda I); CG raises on non-positive

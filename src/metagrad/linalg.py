@@ -1,7 +1,8 @@
 """Dense linear-algebra substrate: vectors, matrices, and a CG solver.
 
 Vectors are 1-D float64 numpy arrays, matrices 2-D; ``as_vectors`` also takes
-stacks of vectors (a task and/or a stage axis in front). ``_dot`` is the per-row
+stacks of vectors (a task and/or a stage axis in front), ``as_matrix`` and
+``is_symmetric`` a stack of matrices (a task axis in front). ``_dot`` is the per-row
 dot product of such stacks, bit for bit the 1-D ``p @ q``. The CG solver takes
 one system or a B x d stack of independent ones, each row solved bit for bit as
 if alone. Everything here is a pure function over immutable inputs, so values
@@ -40,16 +41,17 @@ def as_vectors(v) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    return _finite(m, (2,), "a 2-D matrix", "matrix")
+    """Coerce one matrix or a stack of them to a finite float64 array."""
+    return _finite(m, (2, 3), "a matrix or a stack of matrices", "matrix")
 
 
 def is_symmetric(m: np.ndarray) -> bool:
-    """True when max|M - M^T| <= 1e-12 * max|M| (zero matrix counts)."""
+    """True when max|M - M^T| <= 1e-12 * max|M| (zero matrix counts), for M or every matrix of a stack."""
     m = np.asarray(m, dtype=float)
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    if scale == 0.0:
+    if not m.size:
         return True
-    return float(np.max(np.abs(m - m.T))) <= 1e-12 * scale
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    return bool((np.max(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1)) <= 1e-12 * scale).all())
 
 
 def _dot(p, q):

@@ -5,18 +5,20 @@ each task's meta-gradient with the configured estimator, and applies either
 the gradient rule theta' = theta - beta * mean(estimates) or the
 interpolation rule theta' = theta + eps * mean(phi^K - theta).
 
-Each phase runs once for the batch on a leading task axis (imaml's CG too: one
-HVP call per CG iteration for the tasks still iterating). Row t is bit for bit
-task t's single-task run, and the meta-update is a single reduction in fixed
-task order, so records are bitwise-reproducible given (seed, config). A stacked
-phase fails fast without naming a task; a failed batch is then replayed task by
-task (``_run_stacked``), so the report names the task a task-by-task run stops at.
+Each phase runs once for the batch, a ``TaskBatch`` of stacked objectives that
+``sample_task_batch`` draws straight into its stacks (imaml's CG too: one HVP
+call per CG iteration for the tasks still iterating). Row t is bit for bit task
+t's single-task run (``batch[t]``), and the meta-update is a single reduction in
+fixed task order, so records are bitwise-reproducible given (seed, config). A
+stacked phase fails fast without naming a task; a failed batch is then replayed
+on its one-row slices (``_run_stacked``), so the report names the task a
+task-by-task run stops at.
 """
 
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import List, Sequence
 
 import numpy as np
 
@@ -33,15 +35,23 @@ from .estimators import (
 )
 from .linalg import CGBreakdownError
 from .objectives import (
+    LogisticTask,
+    MlpObjective,
+    QuadraticTask,
     TaskObjective,
+    _matvec,
     mlp_init,
-    random_logistic,
-    random_quadratic,
-    sample_sinusoid_batch,
+    random_spd,
     stack_objectives,
+    take_rows,
 )
 
 FAMILIES = ("quadratic", "logistic", "sinusoid")
+
+# sine tasks: y = amplitude * sin(x + phase), each range sampled uniformly
+AMPLITUDE_RANGE = (0.1, 5.0)
+PHASE_RANGE = (0.0, np.pi)
+INPUT_RANGE = (-5.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,34 @@ class TaskPair:
 
     train: TaskObjective
     val: TaskObjective
+
+
+@dataclass(frozen=True)
+class TaskBatch(Sequence):
+    """B tasks as one stacked training and one stacked validation objective.
+
+    ``batch[t]`` is task t's own ``TaskPair`` (the task axis dropped), and
+    ``batch[a:b]`` the ``TaskBatch`` of those tasks; the arrays are views.
+    """
+
+    train: TaskObjective
+    val: TaskObjective
+
+    @classmethod
+    def stack(cls, pairs) -> "TaskBatch":
+        """The batch of single-task ``TaskPair``s of one family."""
+        return cls(stack_objectives([p.train for p in pairs]), stack_objectives([p.val for p in pairs]))
+
+    def __len__(self) -> int:
+        # the task axis leads every array of a stacked objective
+        return next(len(v) for v in vars(self.val).values() if isinstance(v, np.ndarray))
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return TaskBatch(take_rows(self.train, t), take_rows(self.val, t))
+        if not -len(self) <= t < len(self):
+            raise IndexError(f"task {t} outside a batch of {len(self)}")
+        return TaskPair(take_rows(self.train, t), take_rows(self.val, t))
 
 
 @dataclass(frozen=True)
@@ -83,25 +121,39 @@ class MetaTrainConfig:
             raise ValueError("hmax must be >= 0")
 
 
-def _logistic_pair(rng: np.random.Generator, d: int, n: int) -> TaskPair:
-    w = rng.standard_normal(d)
-    return TaskPair(train=random_logistic(rng, w, n), val=random_logistic(rng, w, n))
-
-
-def sample_task_batch(cfg: MetaTrainConfig, rng: np.random.Generator) -> List[TaskPair]:
-    """Draw one meta-batch of (train, val) objective pairs for cfg.family."""
+def sample_task_batch(cfg: MetaTrainConfig, rng: np.random.Generator) -> TaskBatch:
+    """Draw one meta-batch of cfg.family tasks straight into its stacks, each side
+    validated once as one B-task objective. Tasks are drawn one by one, train side
+    first, so the stream does not depend on B; logistic labels and sine targets are
+    computed for the whole stack, bit for bit the per-task values."""
+    B, d = cfg.meta_batch, cfg.dim
     if cfg.family == "quadratic":
-        return [
-            TaskPair(
-                train=random_quadratic(rng, cfg.dim, 0.0, cfg.hmax),
-                val=random_quadratic(rng, cfg.dim, 0.0, cfg.hmax),
-            )
-            for _ in range(cfg.meta_batch)
-        ]
+        a, b = np.empty((2, B, d, d)), np.empty((2, B, d))
+        for t in range(B):
+            for side in range(2):
+                a[side, t] = random_spd(rng, d, 0.0, cfg.hmax)
+                b[side, t] = rng.standard_normal(d)
+        return TaskBatch(QuadraticTask(a[0], b[0]), QuadraticTask(a[1], b[1]))
     if cfg.family == "logistic":
-        return [_logistic_pair(rng, cfg.dim, max(2 * cfg.dim, 20)) for _ in range(cfg.meta_batch)]
-    tasks = sample_sinusoid_batch(rng, cfg.meta_batch, cfg.shots)
-    return [TaskPair(train=t.train_objective(), val=t.val_objective()) for t in tasks]
+        n = max(2 * d, 20)
+        w, x, u = np.empty((B, d)), np.empty((2, B, d, n)), np.empty((2, B, n))
+        for t in range(B):
+            w[t] = rng.standard_normal(d)
+            for side in range(2):
+                x[side, t] = rng.standard_normal((d, n))
+                u[side, t] = rng.uniform(size=n)
+        y = (u < LogisticTask._sigmoid(_matvec(x.swapaxes(-1, -2), w))).astype(float)
+        return TaskBatch(LogisticTask(x[0], y[0]), LogisticTask(x[1], y[1]))
+    if cfg.shots < 1:
+        raise ValueError("batch and shots must be >= 1")
+    amplitude, phase, x = np.empty((B, 1)), np.empty((B, 1)), np.empty((2, B, cfg.shots))
+    for t in range(B):
+        amplitude[t] = rng.uniform(*AMPLITUDE_RANGE)
+        phase[t] = rng.uniform(*PHASE_RANGE)
+        for side in range(2):
+            x[side, t] = rng.uniform(*INPUT_RANGE, size=cfg.shots)
+    y = amplitude * np.sin(x + phase)
+    return TaskBatch(MlpObjective(x[0], y[0]), MlpObjective(x[1], y[1]))
 
 
 def initial_theta(cfg: MetaTrainConfig, rng: np.random.Generator) -> np.ndarray:
@@ -160,12 +212,12 @@ def _failure_prefix(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _run_stacked(phase, tasks: Sequence[TaskPair], where: str = ""):
+def _run_stacked(phase, tasks: TaskBatch, where: str = ""):
     """phase(tasks) on the whole stack, once. On a numerical failure, re-run phase on
-    each task alone, in order, and raise the first one's failure as ``{where}task t: ...``.
-    Row t of a stack is bit for bit task t's own run, so that is the failure a
-    task-by-task run stops at. A ValueError (a NaN/Inf map output in CG, say) is
-    replayed too, since an earlier task may fail later in the stack's order; it
+    each task's one-row slice, in order, and raise the first one's failure as
+    ``{where}task t: ...``. Row t of a stack is bit for bit task t's own run, so that is
+    the failure a task-by-task run stops at. A ValueError (a NaN/Inf map output in CG,
+    say) is replayed too, since an earlier task may fail later in the stack's order; it
     is re-raised unprefixed, as the task-by-task run raises it."""
     try:
         return phase(tasks)
@@ -176,23 +228,24 @@ def _run_stacked(phase, tasks: Sequence[TaskPair], where: str = ""):
         raise  # no task fails alone: report the stack's own failure
 
 
-def _adapt(tasks: Sequence[TaskPair], theta, cfg: MetaTrainConfig):
-    """Adapt the batch as one stack: (trajectory, validation gradients, stacked validation objective)."""
-    traj = gd_adapt(stack_objectives([p.train for p in tasks]), np.tile(theta, (len(tasks), 1)), cfg.alpha, cfg.K)
-    val = stack_objectives([p.val for p in tasks])
-    return traj, validation_gradient(val, traj), val
+def _adapt(tasks: TaskBatch, theta, cfg: MetaTrainConfig):
+    """Adapt the batch as one stack: (trajectory, validation gradients)."""
+    traj = gd_adapt(tasks.train, np.tile(theta, (len(tasks), 1)), cfg.alpha, cfg.K)
+    return traj, validation_gradient(tasks.val, traj)
 
 
-def meta_step(theta: np.ndarray, tasks: Sequence[TaskPair], cfg: MetaTrainConfig):
-    """One outer update over a one-family task batch, run as one stack; returns
-    (theta', TrainRecordRow). The row's iteration is left at 0; the caller stamps it."""
+def meta_step(theta: np.ndarray, tasks: Sequence, cfg: MetaTrainConfig):
+    """One outer update over a one-family task batch (a ``TaskBatch``, or ``TaskPair``s
+    to stack), run as one stack; returns (theta', TrainRecordRow). The row's
+    iteration is left at 0; the caller stamps it."""
     if not tasks:
         raise ValueError("task batch must be non-empty")
+    tasks = tasks if isinstance(tasks, TaskBatch) else TaskBatch.stack(tasks)
     est = cfg.estimator
 
     def phases(batch):
-        traj, g, val = _adapt(batch, theta, cfg)
-        losses = val.value(traj.final)
+        traj, g = _adapt(batch, theta, cfg)
+        losses = batch.val.value(traj.final)
         if not np.isfinite(losses).all():
             raise DivergenceError("validation loss is NaN/Inf")
         mg = None if est.kind == "reptile" else estimate(traj, g, est)
@@ -269,7 +322,7 @@ def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches:
     for b in range(batches):
         tasks = sample_task_batch(cfg, task_rng)
         errs = _run_stacked(
-            lambda ts: _estimator_errors(*_adapt(ts, theta, cfg)[:2], l_values, cfg.estimator.rescale_alpha),
+            lambda ts: _estimator_errors(*_adapt(ts, theta, cfg), l_values, cfg.estimator.rescale_alpha),
             tasks, f"batch {b}, ")
         for L, per_task, total in zip(l_values, errs, sums):
             mean = np.mean(np.stack(per_task, axis=1), axis=0)  # tasks x (e_fo, e_tr, e_bin)

@@ -3,16 +3,18 @@
 A task objective exposes ``value``, ``gradient`` and ``hvp``; ``hvp`` takes one
 (point, direction) pair or B x d stacks of them, and ``linearize(phi)`` returns
 the HVP operator at phi for many directions (imaml applies one per live set of
-tasks). ``stack_objectives`` puts B tasks on a leading axis (A as B x d x d, X
-as B x d x n, sine data as B x n); each method takes B x d points, task t's
-result bit for bit in row t, and ``take_rows`` keeps a subset of the rows. The
-sine regressor serves a cascade stage B rows at a time with no stacked copy.
+tasks). Each family's constructor takes one task's data or B tasks' data on a
+leading axis (A as B x d x d, X as B x d x n, sine data as B x n) and validates
+it once; ``stack_objectives`` stacks objectives already built. A stacked
+objective's methods take B x d points, task t's result bit for bit in row t,
+and ``take_rows`` keeps a subset of the rows (one task's objective for an int).
+The sine regressor serves a cascade stage B rows at a time with no stacked copy.
 Families:
 
 * :class:`QuadraticTask` -- closed-form constant-Hessian oracle family.
 * :class:`LogisticTask` -- convex NLL with an analytic HVP.
-* :class:`MlpObjective` / :class:`SinusoidTask` -- small fully-connected
-  regressor for few-shot sine fitting, with an exact R-op HVP.
+* :class:`MlpObjective` -- small fully-connected regressor for few-shot sine
+  fitting, with an exact R-op HVP.
 * :class:`PrescribedHessianSequence` -- hand-picked per-step curvature used to
   meet the error bounds with equality.
 
@@ -26,10 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _dot, as_matrix, as_vector, as_vectors, is_symmetric
-
-AMPLITUDE_RANGE = (0.1, 5.0)
-PHASE_RANGE = (0.0, np.pi)
-INPUT_RANGE = (-5.0, 5.0)
 
 MLP_HIDDEN = 40  # regressor is 1 -> 40 -> 40 -> 1 with tanh activations
 
@@ -86,7 +84,8 @@ def stack_objectives(objs) -> TaskObjective:
 
 
 def take_rows(stacked: TaskObjective, rows) -> TaskObjective:
-    """The objective of tasks ``rows`` (an index array) of a ``stack_objectives`` result."""
+    """The objective of tasks ``rows`` (an index array or a slice) of a stacked objective;
+    an int index gives that one task's objective, without the task axis."""
     taken = object.__new__(type(stacked))
     taken.__dict__ = {name: value[rows] if isinstance(value, np.ndarray) else value
                       for name, value in vars(stacked).items()}
@@ -94,18 +93,18 @@ def take_rows(stacked: TaskObjective, rows) -> TaskObjective:
 
 
 class QuadraticTask(TaskObjective):
-    """Loss 0.5 * phi^T A phi + b^T phi with symmetric A."""
+    """Loss 0.5 * phi^T A phi + b^T phi with symmetric A (d x d, or B x d x d with b B x d)."""
 
     def __init__(self, a, b):
         a = as_matrix(a)
-        b = as_vector(b)
-        if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
+        b = as_vectors(b)
+        if a.shape != b.shape + b.shape[-1:]:
             raise ValueError(f"inconsistent shapes A {a.shape}, b {b.shape}")
         if not is_symmetric(a):
             raise ValueError("A must be symmetric")
         self.a = a
         self.b = b
-        self.dim = b.shape[0]
+        self.dim = b.shape[-1]
 
     def value(self, phi) -> float:
         phi = as_vectors(phi)
@@ -121,22 +120,23 @@ class QuadraticTask(TaskObjective):
 class LogisticTask(TaskObjective):
     """Mean negative log-likelihood of logistic regression.
 
-    ``x`` holds one input per column (d x N); labels are in {0, 1}. The
-    Hessian (1/N) X diag(s') X^T is PSD, and the HVP is computed analytically
-    as (1/N) X (s' * (X^T v)) rather than by finite differences.
+    ``x`` holds one input per column (d x N, or B x d x N with y B x N);
+    labels are in {0, 1}. The Hessian (1/N) X diag(s') X^T is PSD, and the HVP
+    is computed analytically as (1/N) X (s' * (X^T v)) rather than by finite
+    differences.
     """
 
     def __init__(self, x, y):
         x = as_matrix(x)
-        y = as_vector(y)
-        if x.shape[1] != y.shape[0]:
+        y = as_vectors(y)
+        if x.shape[:-2] + x.shape[-1:] != y.shape:
             raise ValueError(f"inconsistent shapes X {x.shape}, y {y.shape}")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("labels must be 0 or 1")
         self.x = x
         self.y = y
-        self.dim = x.shape[0]
-        self.n = x.shape[1]
+        self.dim = x.shape[-2]
+        self.n = x.shape[-1]
 
     @staticmethod
     def _sigmoid(z):
@@ -209,10 +209,11 @@ class MlpObjective(TaskObjective):
     """
 
     def __init__(self, x, y):
-        self.x = as_vector(x)
-        self.y = as_vector(y)
-        if self.x.shape != self.y.shape:
-            raise ValueError("x and y must have the same length")
+        # x and y are (n,), or B x n for B tasks
+        self.x = as_vectors(x)
+        self.y = as_vectors(y)
+        if self.x.ndim > 2 or self.x.shape != self.y.shape:
+            raise ValueError("x and y must have the same shape, (n,) or B x n")
         self.dim = mlp_dim()
 
     def _forward(self, theta):
@@ -279,51 +280,6 @@ class MlpObjective(TaskObjective):
             return np.concatenate(blocks, axis=-1, out=out)
 
         return op
-
-
-@dataclass(frozen=True)
-class SinusoidTask:
-    """One few-shot sine-fitting task: y = amplitude * sin(x + phase)."""
-
-    amplitude: float
-    phase: float
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_val: np.ndarray
-    y_val: np.ndarray
-
-    def train_objective(self) -> MlpObjective:
-        return MlpObjective(self.x_train, self.y_train)
-
-    def val_objective(self) -> MlpObjective:
-        return MlpObjective(self.x_val, self.y_val)
-
-
-def sample_sinusoid_batch(rng: np.random.Generator, batch: int, shots: int):
-    """Sample ``batch`` sine tasks with ``shots`` train and val points each.
-
-    Amplitudes are uniform on [0.1, 5.0], phases uniform on [0, pi], inputs
-    uniform on [-5, 5]; the draw advances ``rng`` in place.
-    """
-    if batch < 1 or shots < 1:
-        raise ValueError("batch and shots must be >= 1")
-    tasks = []
-    for _ in range(batch):
-        amplitude = float(rng.uniform(*AMPLITUDE_RANGE))
-        phase = float(rng.uniform(*PHASE_RANGE))
-        x_train = rng.uniform(*INPUT_RANGE, size=shots)
-        x_val = rng.uniform(*INPUT_RANGE, size=shots)
-        tasks.append(
-            SinusoidTask(
-                amplitude=amplitude,
-                phase=phase,
-                x_train=x_train,
-                y_train=amplitude * np.sin(x_train + phase),
-                x_val=x_val,
-                y_val=amplitude * np.sin(x_val + phase),
-            )
-        )
-    return tasks
 
 
 @dataclass(frozen=True)
@@ -396,14 +352,3 @@ def random_spd(rng: np.random.Generator, d: int, lo: float = 0.0, hi: float = 1.
     eigs = rng.uniform(lo, hi, size=d)
     return q @ np.diag(eigs) @ q.T
 
-
-def random_quadratic(rng: np.random.Generator, d: int, lo: float = 0.0, hi: float = 1.0) -> QuadraticTask:
-    return QuadraticTask(random_spd(rng, d, lo, hi), rng.standard_normal(d))
-
-
-def random_logistic(rng: np.random.Generator, w: np.ndarray, n: int) -> LogisticTask:
-    """n inputs x ~ N(0, I), then labels drawn from sigmoid(x^T w) for true weights w."""
-    x = rng.standard_normal((len(w), n))
-    probs = LogisticTask._sigmoid(x.T @ w)
-    y = (rng.uniform(size=n) < probs).astype(float)
-    return LogisticTask(x, y)

@@ -1,27 +1,90 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from metagrad import (
     BoundInputs,
+    LogisticTask,
+    MlpObjective,
     PrescribedHessianSequence,
     QuadraticTask,
+    TaskPair,
     Trajectory,
     bounds_smooth,
     from_hessian_sequence,
     gd_adapt,
     meta_step,
     mlp_init,
-    random_logistic,
-    random_quadratic,
-    sample_sinusoid_batch,
+    random_spd,
     sample_task_batch,
     validation_gradient,
 )
 from metagrad.estimators import _cascade
-from metagrad.metatrain import initial_theta
+from metagrad.metatrain import AMPLITUDE_RANGE, INPUT_RANGE, PHASE_RANGE, initial_theta
+
+
+def random_quadratic(rng: np.random.Generator, d: int, lo: float = 0.0, hi: float = 1.0) -> QuadraticTask:
+    return QuadraticTask(random_spd(rng, d, lo, hi), rng.standard_normal(d))
+
+
+def random_logistic(rng: np.random.Generator, w: np.ndarray, n: int) -> LogisticTask:
+    """n inputs x ~ N(0, I), then labels drawn from sigmoid(x^T w) for true weights w."""
+    x = rng.standard_normal((len(w), n))
+    probs = LogisticTask._sigmoid(x.T @ w)
+    y = (rng.uniform(size=n) < probs).astype(float)
+    return LogisticTask(x, y)
+
+
+@dataclass(frozen=True)
+class SinusoidTask:
+    """One few-shot sine-fitting task: y = amplitude * sin(x + phase)."""
+
+    amplitude: float
+    phase: float
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_val: np.ndarray
+    y_val: np.ndarray
+
+    def train_objective(self) -> MlpObjective:
+        return MlpObjective(self.x_train, self.y_train)
+
+    def val_objective(self) -> MlpObjective:
+        return MlpObjective(self.x_val, self.y_val)
+
+
+def sample_sinusoid_batch(rng: np.random.Generator, batch: int, shots: int):
+    """Sample ``batch`` sine tasks with ``shots`` train and val points each, one task
+    at a time; the draw advances ``rng`` in place."""
+    if batch < 1 or shots < 1:
+        raise ValueError("batch and shots must be >= 1")
+    tasks = []
+    for _ in range(batch):
+        amplitude = float(rng.uniform(*AMPLITUDE_RANGE))
+        phase = float(rng.uniform(*PHASE_RANGE))
+        x_train = rng.uniform(*INPUT_RANGE, size=shots)
+        x_val = rng.uniform(*INPUT_RANGE, size=shots)
+        tasks.append(SinusoidTask(amplitude, phase, x_train, amplitude * np.sin(x_train + phase),
+                                  x_val, amplitude * np.sin(x_val + phase)))
+    return tasks
+
+
+def reference_task_batch(cfg, rng):
+    """Per-task reference for ``sample_task_batch``: one validated objective per
+    task and side, drawn in the same RNG order."""
+    if cfg.family == "quadratic":
+        return [TaskPair(random_quadratic(rng, cfg.dim, 0.0, cfg.hmax), random_quadratic(rng, cfg.dim, 0.0, cfg.hmax))
+                for _ in range(cfg.meta_batch)]
+    if cfg.family == "logistic":
+        pairs = []
+        for _ in range(cfg.meta_batch):
+            w = rng.standard_normal(cfg.dim)
+            n = max(2 * cfg.dim, 20)
+            pairs.append(TaskPair(random_logistic(rng, w, n), random_logistic(rng, w, n)))
+        return pairs
+    return [TaskPair(t.train_objective(), t.val_objective()) for t in sample_sinusoid_batch(rng, cfg.meta_batch, cfg.shots)]
 
 
 @pytest.fixture

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import random_quadratic, sample_sinusoid_batch
 from metagrad import (
     DivergenceError,
     QuadraticTask,
     from_hessian_sequence,
     gd_adapt,
     mlp_init,
-    random_quadratic,
-    sample_sinusoid_batch,
     sharpness_sequence,
     validation_gradient,
 )

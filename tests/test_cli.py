@@ -252,7 +252,7 @@ class TestMetatrain:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"), ("--beta", "nan", "beta"),
-        ("--beta", "inf", "beta"), ("--lambda", "nan", "imaml_lambda"),
+        ("--beta", "inf", "beta"), ("--lambda", "nan", "imaml_lambda"), ("--lambda", "inf", "imaml_lambda"),
     ])
     def test_non_finite_hyperparameter_exits_one_naming_field(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "x"

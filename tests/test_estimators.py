@@ -11,6 +11,9 @@ from conftest import (
     logistic_trajectory,
     prescribed_trajectory,
     quadratic_trajectory,
+    random_logistic,
+    random_quadratic,
+    sample_sinusoid_batch,
     sine_trajectory,
 )
 from metagrad import (
@@ -32,11 +35,8 @@ from metagrad import (
     gd_adapt,
     imaml_meta_gradient,
     mlp_init,
-    random_logistic,
-    random_quadratic,
     random_spd,
     reptile_direction,
-    sample_sinusoid_batch,
     sharpness_sequence,
     stack_objectives,
     trunc_meta_gradient,

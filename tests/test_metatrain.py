@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logistic_trajectory, meta_loop, prescribed_trajectory, quadratic_trajectory, sine_trajectory
+from conftest import (
+    logistic_trajectory,
+    meta_loop,
+    prescribed_trajectory,
+    quadratic_trajectory,
+    reference_task_batch,
+    sine_trajectory,
+)
 from metagrad import (
     CGBreakdownError,
     CostCounters,
@@ -14,6 +21,7 @@ from metagrad import (
     MetaTrainConfig,
     MlpObjective,
     QuadraticTask,
+    TaskBatch,
     TaskPair,
     Trajectory,
     binom_meta_gradient,
@@ -21,6 +29,7 @@ from metagrad import (
     estimation_error,
     full_meta_gradient,
     gd_adapt,
+    imaml_meta_gradient,
     meta_step,
     run_error_experiment,
     run_metatrain,
@@ -200,6 +209,24 @@ class TestSampling:
         for pair in tasks:
             assert pair.train.dim == pair.val.dim
 
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "sinusoid"])
+    @pytest.mark.parametrize("batch", [1, 10])
+    def test_equals_the_per_task_reference(self, family, batch):
+        # the stacks hold exactly the per-task sampler's data, and both leave the task stream at
+        # the same point; this pins the stacked label draws and sine targets to the per-task ones
+        for seed in range(4):
+            cfg = MetaTrainConfig(family=family, meta_batch=batch, hmax=2.0)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = sample_task_batch(cfg, rng), reference_task_batch(cfg, ref_rng)
+            for side in ("train", "val"):
+                stacked = stack_objectives([getattr(pair, side) for pair in want])
+                assert type(getattr(got, side)) is type(stacked)
+                got_vars = vars(getattr(got, side))
+                assert got_vars.keys() == vars(stacked).keys()
+                for name, value in vars(stacked).items():
+                    assert np.array_equal(got_vars[name], value), (seed, side, name)
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             MetaTrainConfig(family="images")
@@ -377,6 +404,46 @@ _STACK_FAMILIES = {
 }
 
 
+class TestTaskBatch:
+    """A sampled batch is a sequence of its tasks' single-task pairs, each a view of its row."""
+
+    @pytest.mark.parametrize("family", sorted(_STACK_FAMILIES))
+    def test_task_equals_its_row_of_the_stacked_run(self, family):
+        # what bench/gate.py relies on: batch[t] run alone is row t of the stacked run, bit for bit
+        cfg = MetaTrainConfig(K=4, meta_batch=3, **_STACK_FAMILIES[family])
+        lam = 100.0 if family == "sinusoid" else 1.0
+        rng = np.random.default_rng(11)
+        theta = initial_theta(cfg, rng)
+        batch = sample_task_batch(cfg, rng)
+        traj = gd_adapt(batch.train, np.tile(theta, (3, 1)), cfg.alpha, cfg.K)
+        g = validation_gradient(batch.val, traj)
+        binom = binom_meta_gradient(traj, g, 2).estimate
+        imaml = imaml_meta_gradient(batch.train, traj.final, g, lam).estimate
+        tasks = list(batch)  # iteration stops at B
+        assert len(tasks) == 3
+        for t, pair in enumerate(tasks):
+            one = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
+            assert all(np.array_equal(phi, phis[t]) for phi, phis in zip(one.iterates, traj.iterates))
+            g_t = validation_gradient(pair.val, one)
+            assert np.array_equal(g_t, g[t])
+            assert np.array_equal(binom_meta_gradient(one, g_t, 2).estimate, binom[t])
+            assert np.array_equal(imaml_meta_gradient(pair.train, one.final, g_t, lam).estimate, imaml[t])
+
+    def test_indexing_and_slicing(self):
+        batch = sample_task_batch(MetaTrainConfig(family="logistic", meta_batch=4), np.random.default_rng(12))
+        one = batch[2:3]
+        assert isinstance(one, TaskBatch) and len(one) == 1
+        assert one.train.x.shape == (1, 6, 20) and one.val.y.shape == (1, 20)
+        assert np.shares_memory(one.train.x, batch.train.x)
+        assert np.array_equal(one.train.x[0], batch[2].train.x)
+        assert batch[2].train.x.shape == (6, 20) and batch[2].train.dim == 6
+        assert [len(batch[1:]), len(batch[::2]), len(batch[4:])] == [3, 2, 0]
+        assert np.array_equal(batch[-1].val.y, batch.val.y[3])
+        with pytest.raises(IndexError, match="task 4 outside a batch of 4"):
+            batch[4]
+
+
+
 class TestStackedBatch:
     """A meta-batch runs as one stack; every output equals the task-by-task run bit for bit."""
 
@@ -515,9 +582,10 @@ class TestStackedDivergence:
         late_msg = _alone([late], cfg, theta)
         assert "cascade stage 1," in late_msg
         tasks = [_line_task(0.0, 1.0), late, early]
-        with pytest.raises(DivergenceError) as info:
-            meta_step(theta, tasks, cfg)
-        assert str(info.value) == late_msg.replace("task 0", "task 1")
+        for batch in (tasks, TaskBatch.stack(tasks)):
+            with pytest.raises(DivergenceError) as info:
+                meta_step(theta, batch, cfg)
+            assert str(info.value) == late_msg.replace("task 0", "task 1")
 
     def test_tracked_errors_before_a_later_estimate_failure(self):
         # binom at L=1 fails for task 2 only; the order-K error cascade fails for task 1 as well
@@ -534,7 +602,7 @@ class TestStackedDivergence:
     def test_error_experiment_names_batch_and_task(self, monkeypatch):
         cfg = MetaTrainConfig(alpha=1.0, K=4, meta_batch=3, dim=2)
         tasks = [_line_task(0.0, 1.0), _line_task(1 + 1e160, 1.0), _line_task(1 + 1e160, 1e200)]
-        monkeypatch.setattr("metagrad.metatrain.sample_task_batch", lambda cfg, rng: tasks)
+        monkeypatch.setattr("metagrad.metatrain.sample_task_batch", lambda cfg, rng: TaskBatch.stack(tasks))
         monkeypatch.setattr("metagrad.metatrain.initial_theta", lambda cfg, rng: np.array([0.0, 1.0]))
         with pytest.raises(DivergenceError, match=r"^batch 0, task 1: NaN/Inf at cascade stage 1, step k="):
             run_error_experiment(cfg, [1, 4], 1)

@@ -7,13 +7,10 @@ from metagrad import (
     PrescribedHessianSequence,
     QuadraticTask,
     mlp_init,
-    random_logistic,
-    random_quadratic,
-    sample_sinusoid_batch,
     sharpness_sequence,
     stack_objectives,
 )
-from conftest import dense_hessian
+from conftest import dense_hessian, random_logistic, random_quadratic, sample_sinusoid_batch
 
 
 def hvp_finite_difference(obj, phi, v) -> np.ndarray:
@@ -254,6 +251,28 @@ class TestStackedObjectives:
         assert np.array_equal(rows[1, 2], np.zeros(stacked.dim))
         with pytest.raises(ValueError, match="hvp takes phi and v of one shape"):
             stacked.hvp(stage, vs[:2])
+
+    def test_constructors_take_a_stack_and_check_every_task(self):
+        rng = np.random.default_rng(39)
+        a = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])])
+        assert QuadraticTask(a, np.ones((2, 3))).dim == 3
+        a[1, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticTask(a, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="inconsistent"):
+            QuadraticTask(np.stack([np.eye(3)] * 2), np.ones(3))
+        x, y = rng.standard_normal((2, 3, 5)), np.ones((2, 5))
+        task = LogisticTask(x, y)
+        assert (task.dim, task.n) == (3, 5)
+        y[1, 4] = 0.5
+        with pytest.raises(ValueError, match="labels"):
+            LogisticTask(x, y)
+        with pytest.raises(ValueError, match="inconsistent"):
+            LogisticTask(x, np.ones((3, 5)))
+        with pytest.raises(ValueError, match="same shape"):
+            MlpObjective(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            MlpObjective(np.ones((2, 3)), np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]]))
 
     def test_one_family_only(self):
         rng = np.random.default_rng(38)

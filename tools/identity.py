@@ -30,7 +30,7 @@ OVERFLOW = [
     ["metatrain", "--family", "quadratic", "--H", "1e200", "--iters", "3"],
 ]
 
-# NaN/Inf hyperparameters: alpha and a NaN lambda exit 1 naming the field; an infinite lambda is accepted
+# NaN/Inf hyperparameters exit 1 naming the field
 NON_FINITE = [
     ["metatrain", "--alpha", "nan", "--iters", "1"],
     ["metatrain", "--estimator", "imaml", "--lambda", "nan", "--iters", "1"],
@@ -48,8 +48,12 @@ def matrix():
             runs.append(argv + ["--track-errors"] * track)
     runs.append(["metatrain", "--family", "sinusoid", "--estimator", "imaml", "--L", "2", "--C", "3", "--iters", "3"])
     for family in ("quadratic", "logistic", "sinusoid"):
+        # a one-task batch, whose failure replay slices a one-row stack
+        runs.append(["metatrain", "--family", family, "--estimator", "binom", "--L", "2", "--batch", "1",
+                     "--iters", "3" if family == "sinusoid" else "20", "--track-errors"])
         sweep = ["error-sweep", "--family", family, "--batches", "3"]
-        runs += [sweep + ["--K", "10"], sweep + ["--K", "1"], sweep + ["--rescale-alpha"]]
+        runs += [sweep + ["--K", "10"], sweep + ["--K", "1"], sweep + ["--K", "5"],
+                 sweep + ["--K", "5", "--rescale-alpha"], sweep + ["--K", "10", "--rescale-alpha"]]
     runs += [["bounds"], ["bounds", "--theorem", "4"], ["cost"], ["cost", "--K", "8"]]
     return runs + OVERFLOW + NON_FINITE
 
