@@ -7,11 +7,17 @@ unknown config keys are rejected, and the resolved configuration is echoed to
 ``<out>/resolved_config.txt``. CSV files are the interchange format of
 record; SVGs are derived views.
 
+``main(argv)`` may be called any number of times in one process: the parser is
+built on the first call and reused, and no flag or value carries over from one
+call to the next. Each output file is truncated and rewritten, so a rerun into
+the same ``--out`` leaves the bytes a fresh directory would get.
+
 Exit codes: 0 on success, 1 on a constraint error, 2 on numerical divergence.
 A failed run's stderr is one ``metagrad:`` line; numpy's warnings are silenced.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -103,6 +109,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first main() call; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="metagrad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

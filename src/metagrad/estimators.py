@@ -26,8 +26,9 @@ right-to-left backprop loop. No term of the expansion depends on L, so one
 pass to order K holds every order's estimate on its left edge and the exact
 and every truncated product on its right edge; the error experiments read
 all of them off that one pass. Every cost is counted from the stage calls
-the cascade makes. ``binom_oracle`` enumerates the expansion tuple by tuple
-and is the deliberately unoptimized ground truth the cascade is tested against.
+the cascade makes. ``binom_oracle`` enumerates the expansion tuple by tuple,
+with no stages and no stacking, and is the ground truth the cascade is tested
+against.
 
 Every estimator is a pure function of (trajectory, g, parameters); both may be
 stacked over B tasks, giving a B x d estimate whose ``CostCounters`` cover the
@@ -42,7 +43,6 @@ stage and step, not the task (``metatrain`` replays a failed stack task by task
 for that).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -235,11 +235,14 @@ ORACLE_MAX_K = 14
 
 
 def binom_oracle(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> np.ndarray:
-    """Ground-truth expansion by brute-force enumeration; deliberately slow.
+    """Ground-truth expansion by enumeration, one tuple at a time.
 
     Sums, over every strictly increasing tuple 0 <= k_1 < ... < k_l < K with
     l = 1..L, the product (-alpha)^l H^{k_1} ... H^{k_l} g applied right to
-    left, plus the identity term g.
+    left, plus the identity term g. The tuples are walked depth first, each
+    one's product made by one HVP at k_1 on the live product of its suffix
+    (k_2, ..., k_l): C(K, l) HVPs per order instead of l C(K, l), with O(L)
+    vectors of length d live at a time. It shares no code with ``_cascade``.
     """
     K = traj.K
     if K > ORACLE_MAX_K:
@@ -248,13 +251,19 @@ def binom_oracle(traj: Trajectory, g, L: int, rescale_alpha: bool = False) -> np
     g = np.asarray(g, dtype=float)
     alpha = _effective_alpha(traj, L, rescale_alpha)
     total = g.copy()
-    for l in range(1, L + 1):
+
+    def prepend(suffix_product, first, l):
+        # the order-l tuples (k, *suffix) for k < first, each before its own extensions
+        nonlocal total
         sign = (-alpha) ** l
-        for combo in itertools.combinations(range(K), l):
-            w = g
-            for k in reversed(combo):
-                w = traj.hvp(k, w)
+        for k in range(first):
+            w = traj.hvp(k, suffix_product)
             total = total + sign * w
+            if l < L:
+                prepend(w, k, l + 1)
+
+    if L > 0:
+        prepend(g, K, 1)
     return total
 
 

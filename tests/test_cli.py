@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from metagrad.cli import main
+from metagrad.cli import build_parser, main
 from metagrad.svgchart import line_chart
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -404,3 +404,42 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["error-sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert "rescale_alpha=true" in (out / "resolved_config.txt").read_text()
+
+
+def files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestRepeatedCalls:
+    @pytest.mark.parametrize("first, second", [
+        (["error-sweep", "--batches", "2", "--K", "10"], ["error-sweep", "--batches", "2", "--K", "1"]),
+        (["metatrain", "--iters", "20"], ["metatrain", "--iters", "3"]),
+    ], ids=["error-sweep", "metatrain"])
+    def test_rerun_into_non_empty_out_equals_a_fresh_run(self, tmp_path, first, second):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main([*first, "--out", str(reused)]) == 0
+        earlier = files(reused)
+        assert main([*second, "--out", str(reused)]) == 0
+        assert main([*second, "--out", str(fresh)]) == 0
+        assert files(reused) == files(fresh)
+        # every file of the second run is shorter, so a stale tail would show
+        assert all(len(data) < len(earlier[name]) for name, data in files(fresh).items())
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_no_flag_carries_over_to_the_next_call(self, tmp_path):
+        sweep = ["error-sweep", "--batches", "1", "--batch", "2", "--K", "2"]
+        assert main([*sweep, "--seed", "3", "--rescale-alpha", "--out", str(tmp_path / "a")]) == 0
+        assert main([*sweep, "--out", str(tmp_path / "b")]) == 0
+        assert [resolved(tmp_path / out)[key] for out in "ab" for key in ("seed", "rescale_alpha")] == [
+            "3", "true", "0", "false"]
+
+    def test_bad_flag_exits_one_with_the_same_stderr_again(self, capsys):
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["bounds", "--frobnicate", "1"])
+            assert exc.value.code == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].endswith("error: unrecognized arguments: --frobnicate 1\n")

@@ -269,8 +269,8 @@ class TestOracle:
                 return v
 
         binom_oracle(CountingTraj(), np.ones(1), 2)
-        # 15 tuples (C(5,1) + C(5,2)); each length-l tuple costs l HVPs
-        assert calls == 1 * math.comb(5, 1) + 2 * math.comb(5, 2) == 25
+        # 15 tuples (C(5,1) + C(5,2)); each costs one HVP on its suffix's product
+        assert calls == math.comb(5, 1) + math.comb(5, 2) == 15
 
     def test_enumeration_guard(self):
         rng = np.random.default_rng(18)

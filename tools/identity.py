@@ -3,12 +3,14 @@
 Usage: python tools/identity.py --base REV
 
 Exports REV with ``git archive`` into a temporary directory (``.git`` is left
-untouched), then runs one fixed matrix of ``metagrad`` invocations on that
-tree and on this checkout's working tree. Both runs of an invocation start in
-the same empty working directory and write to ``out/`` there. Compared per
-invocation: exit code, stdout, stderr and every file written. Prints one
-summary line, then each differing invocation with what differs. Exits 0 when
-every invocation is identical, 1 otherwise.
+untouched), then runs one fixed matrix of cases on that tree and on this
+checkout's working tree. A case is one ``metagrad`` invocation, or a rerun
+pair: a second invocation into the ``out/`` the first one left, which checks
+that a rerun rewrites every file to a fresh run's bytes. Both runs of a case
+start in the same empty working directory and write to ``out/`` there.
+Compared per case: exit codes, stdout, stderr and every file written. Prints
+one summary line, then each differing case with what differs. Exits 0 when
+every case is identical, 1 otherwise.
 """
 
 import argparse
@@ -38,15 +40,24 @@ NON_FINITE = [
 ]
 
 
+# a second run into the out/ of a first, longer one: every file it writes is shorter
+RERUNS = [
+    *((["error-sweep", "--family", family, "--batches", "3", "--K", "10"],
+       ["error-sweep", "--family", family, "--batches", "3", "--K", "1"])
+      for family in ("quadratic", "logistic", "sinusoid")),
+    (["metatrain", "--iters", "20"], ["metatrain", "--iters", "3"]),
+]
+
+
 def matrix():
+    """Every case, as the tuple of argvs it runs in order."""
     runs = []
-    for family, track in (("quadratic", False), ("quadratic", True), ("logistic", False),
-                          ("logistic", True), ("sinusoid", True)):
+    for family in ("quadratic", "logistic", "sinusoid"):
         iters = "3" if family == "sinusoid" else "20"
-        for kind in KINDS:
-            argv = ["metatrain", "--family", family, "--estimator", kind, "--L", "2", "--C", "3", "--iters", iters]
-            runs.append(argv + ["--track-errors"] * track)
-    runs.append(["metatrain", "--family", "sinusoid", "--estimator", "imaml", "--L", "2", "--C", "3", "--iters", "3"])
+        for track in (False, True):
+            for kind in KINDS:
+                argv = ["metatrain", "--family", family, "--estimator", kind, "--L", "2", "--C", "3", "--iters", iters]
+                runs.append(argv + ["--track-errors"] * track)
     for family in ("quadratic", "logistic", "sinusoid"):
         # a one-task batch, whose failure replay slices a one-row stack
         runs.append(["metatrain", "--family", family, "--estimator", "binom", "--L", "2", "--batch", "1",
@@ -55,7 +66,7 @@ def matrix():
         runs += [sweep + ["--K", "10"], sweep + ["--K", "1"], sweep + ["--K", "5"],
                  sweep + ["--K", "5", "--rescale-alpha"], sweep + ["--K", "10", "--rescale-alpha"]]
     runs += [["bounds"], ["bounds", "--theorem", "4"], ["cost"], ["cost", "--K", "8"]]
-    return runs + OVERFLOW + NON_FINITE
+    return [(argv,) for argv in runs + OVERFLOW + NON_FINITE] + RERUNS
 
 
 def export(rev: str, dest: Path):
@@ -66,15 +77,16 @@ def export(rev: str, dest: Path):
         raise SystemExit(f"identity: cannot export {rev!r}")
 
 
-def run(src: Path, argv, work: Path) -> dict:
-    """Exit code, stdout, stderr and the files written by one invocation, started in an empty ``work``."""
+def run(src: Path, case, work: Path) -> dict:
+    """Exit codes, stdout, stderr and the files left by one case's invocations, run in order in an empty ``work``."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "metagrad.cli", *argv, "--out", "out"],
-                          cwd=work, env=env, capture_output=True)
+    done = [subprocess.run([sys.executable, "-m", "metagrad.cli", *argv, "--out", "out"],
+                           cwd=work, env=env, capture_output=True) for argv in case]
     files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
-    return {"exit code": done.returncode, "stdout": done.stdout, "stderr": done.stderr, "files": files}
+    return {"exit code": [d.returncode for d in done], "stdout": [d.stdout for d in done],
+            "stderr": [d.stderr for d in done], "files": files}
 
 
 def main():
@@ -87,16 +99,16 @@ def main():
         base.mkdir()
         export(args.base, base)
         differing = []
-        for argv in runs:
-            want = run(base / "src", argv, Path(tmp) / "work")
-            got = run(ROOT / "src", argv, Path(tmp) / "work")
+        for case in runs:
+            want = run(base / "src", case, Path(tmp) / "work")
+            got = run(ROOT / "src", case, Path(tmp) / "work")
             what = [key for key in want if want[key] != got[key]]
             if what:
-                differing.append((argv, what))
-    print(f"identity: {len(runs) - len(differing)} of {len(runs)} invocations identical to {args.base}, "
+                differing.append((case, what))
+    print(f"identity: {len(runs) - len(differing)} of {len(runs)} cases identical to {args.base}, "
           f"{len(differing)} differ")
-    for argv, what in differing:
-        print(f"  {', '.join(what)}: metagrad {' '.join(argv)}")
+    for case, what in differing:
+        print(f"  {', '.join(what)}: " + ", then ".join("metagrad " + " ".join(argv) for argv in case))
     return 1 if differing else 0
 
 
