@@ -90,8 +90,6 @@ SCHEMAS = {
     },
     "cost": {
         "K": ("int", 5),
-        "d": ("int", 2),
-        "alpha": ("float", 0.25),
     },
 }
 
@@ -303,10 +301,11 @@ def run_metatrain_cmd(cfg: dict, out_dir: Path):
 
 
 def run_cost(cfg: dict, out_dir: Path):
-    # measure counters on a real run over a small prescribed-curvature path
-    K, d = cfg["K"], cfg["d"]
-    seq = sharpness_sequence("theorem3-pos", K, 0, 0.5, d)
-    traj = from_hessian_sequence(seq, cfg["alpha"])
+    # measure counters on a real run over a small prescribed-curvature path; they count
+    # vectors and stage calls, so the path's dimension and step size change no count
+    K = cfg["K"]
+    seq = sharpness_sequence("theorem3-pos", K, 0, 0.5, 2)
+    traj = from_hessian_sequence(seq, 0.25)
     g = seq.g
     runs = [("fo", 0, fo_meta_gradient(g)), ("full", K, full_meta_gradient(traj, g))]
     runs += [("trunc", L, trunc_meta_gradient(traj, g, L)) for L in range(K + 1)]

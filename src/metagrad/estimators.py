@@ -191,20 +191,20 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
 
 
 def _expansion(traj: Trajectory, g, L: int, C: int, rescale_alpha: bool = False):
-    """The order-L expansion over the last C steps: (estimate, edge, CostCounters)."""
+    """The order-L expansion over the last C steps: (estimate, CostCounters)."""
     K = traj.K
     _check_L(L, K)
     if not L <= C <= K:
         raise ValueError(f"need L <= C <= K, got L={L}, C={C}, K={K}")
     alpha = _effective_alpha(traj, L, rescale_alpha)
-    estimates, edge, cost = _cascade(traj.hvp_stage, K - C, C, (L,), alpha, np.asarray(g, dtype=float))
-    return estimates[L], edge, cost
+    estimates, _, cost = _cascade(traj.hvp_stage, K - C, C, (L,), alpha, np.asarray(g, dtype=float))
+    return estimates[L], cost
 
 
 def full_meta_gradient(traj: Trajectory, g) -> MetaGradient:
     """Exact product, applied right to left: the order-K expansion over all K
     steps, one HVP per stage."""
-    v, _, cost = _expansion(traj, g, traj.K, traj.K)
+    v, cost = _expansion(traj, g, traj.K, traj.K)
     return MetaGradient(v, "full", cost)
 
 
@@ -216,7 +216,7 @@ def fo_meta_gradient(g) -> MetaGradient:
 def trunc_meta_gradient(traj: Trajectory, g, L: int) -> MetaGradient:
     """Product of the last L factors only: the order-L expansion over the last
     L steps. L = 0 is the first-order estimate and L = K the exact product."""
-    v, _, cost = _expansion(traj, g, L, L)
+    v, cost = _expansion(traj, g, L, L)
     return MetaGradient(v, "trunc", cost)
 
 
@@ -227,7 +227,7 @@ def binom_meta_gradient(traj: Trajectory, g, L: int, rescale_alpha: bool = False
     exact product. The counted cost is L*(K-L+1) HVPs in L stage calls
     (sequential depth L), with K-L+1 vectors live.
     """
-    v, _, cost = _expansion(traj, g, L, traj.K, rescale_alpha)
+    v, cost = _expansion(traj, g, L, traj.K, rescale_alpha)
     return MetaGradient(v, "binom", cost)
 
 
@@ -277,7 +277,7 @@ def binomtrunc_meta_gradient(
     (``trunc``), C = K the plain expansion (``binom``); the alpha rescaling,
     when on, still uses the full K.
     """
-    v, _, cost = _expansion(traj, g, L, C, rescale_alpha)
+    v, cost = _expansion(traj, g, L, C, rescale_alpha)
     return MetaGradient(v, "binom-trunc", cost)
 
 

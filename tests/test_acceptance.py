@@ -40,7 +40,7 @@ from metagrad import (
     sweep_csv,
     trunc_meta_gradient,
 )
-from metagrad.estimators import _expansion
+from metagrad.estimators import _cascade
 
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):
@@ -92,7 +92,7 @@ def _degeneracies(traj, g, L):
     """(got, want) pairs that must agree bit for bit at any truncation L."""
     K = traj.K
     full = full_meta_gradient(traj, g).estimate
-    products = _expansion(traj, g, K, K)[1]
+    products = _cascade(traj.hvp_stage, 0, K, (K,), traj.alpha, g)[1]
     pairs = [
         (binom_meta_gradient(traj, g, 0).estimate, g),
         (trunc_meta_gradient(traj, g, 0).estimate, g),

@@ -275,14 +275,13 @@ class TestMetatrain:
 @pytest.mark.parametrize(
     "argv, field",
     [
-        (["cost", "--d", "0"], "d"),
         (["metatrain", "--iters", "0"], "iters"),
         (["metatrain", "--d", "0", "--iters", "1"], "dim"),
         (["error-sweep", "--d", "0", "--batches", "1"], "dim"),
         (["metatrain", "--H", "-1", "--iters", "1"], "hmax"),
         (["error-sweep", "--H", "-1", "--batches", "1"], "hmax"),
     ],
-    ids=["cost-d0", "metatrain-iters0", "metatrain-d0", "error-sweep-d0", "metatrain-H-1", "error-sweep-H-1"],
+    ids=["metatrain-iters0", "metatrain-d0", "error-sweep-d0", "metatrain-H-1", "error-sweep-H-1"],
 )
 def test_invalid_size_exits_one_naming_field(tmp_path, capsys, argv, field):
     out = tmp_path / "x"
@@ -306,17 +305,22 @@ class TestCost:
         assert [rows[("binom", "0")][c] for c in ("hvp_total", "sequential_depth", "peak_live_vectors")] == ["0", "0", "0"]
 
 
-@pytest.mark.parametrize("command", ["bounds", "cost"])
-def test_seed_rejected_where_nothing_is_random(tmp_path, capsys, command):
-    # bounds and cost draw nothing at random, so they take no seed, by flag or config file
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "3", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 1
-    assert "--seed" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=3\n")
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "y")]) == 1
-    assert "unknown key 'seed'" in capsys.readouterr().err
+@pytest.mark.parametrize("command, keys", [
+    ("bounds", ["seed"]),
+    ("cost", ["seed", "d", "alpha"]),
+], ids=["bounds", "cost"])
+def test_seed_rejected_where_nothing_is_random(tmp_path, capsys, command, keys):
+    # bounds and cost draw nothing at random, so they take no seed, by flag or config file;
+    # cost's counters depend on K alone, so it takes no dimension or step size either
+    for key in keys:
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{key}", "3", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 1
+        assert f"--{key}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=3\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "y")]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def resolved(out):

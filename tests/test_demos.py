@@ -2,10 +2,6 @@ import importlib.util
 import re
 from pathlib import Path
 
-import pytest
-
-from metagrad.cli import main
-
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -16,18 +12,17 @@ def load_demo(name):
     return module
 
 
-@pytest.mark.parametrize(
-    "demo, command, table",
-    [("bound_curves", "bounds", "bounds.csv"), ("cost_model", "cost", "cost.csv")],
-)
-def test_demo_writes_the_cli_table(tmp_path, monkeypatch, capsys, demo, command, table):
-    module = load_demo(demo)
-    monkeypatch.setattr(module, "OUT", tmp_path / "demo")
+def test_meta_training_smoke(tmp_path, monkeypatch, capsys):
+    # a few iterations per estimator; the full-order expansion is the exact product's arithmetic
+    module = load_demo("meta_training")
+    monkeypatch.setattr(module, "ITERATIONS", 3)
+    monkeypatch.setattr(module, "OUT", tmp_path)
     module.main()
-    assert main([command, "--out", str(tmp_path / "cli")]) == 0
-    demo_bytes = (tmp_path / "demo" / table).read_bytes()
-    assert demo_bytes == (tmp_path / "cli" / table).read_bytes()
-    assert demo_bytes.decode() in capsys.readouterr().out
+    rows = dict(re.findall(r"^ *(\S.*?)  +(\S+ +\S+ +\d+)$", capsys.readouterr().out, re.M))
+    assert list(rows) == [name for name, _ in module.RUNS]
+    assert rows["exact"] == rows["expansion L=5"]
+    assert [int(row.split()[-1]) for row in rows.values()] == [5, 5, 8, 2, 0]
+    assert (tmp_path / "meta_training.svg").read_text().endswith("</svg>\n")
 
 
 def test_sharp_instances_meet_the_bounds(capsys):

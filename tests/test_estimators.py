@@ -505,7 +505,7 @@ class TestCascadeStructure:
     def test_partial_products_equal_truncated_products(self):
         rng = np.random.default_rng(28)
         traj, g = quadratic_trajectory(rng, d=4, K=6)
-        products = _expansion(traj, g, traj.K, traj.K)[1]
+        products = _cascade(traj.hvp_stage, 0, traj.K, (traj.K,), traj.alpha, g)[1]
         assert len(products) == 7
         for l, product in enumerate(products):
             assert rel_err(product, dense_product(traj, L=l) @ g) <= 1e-10

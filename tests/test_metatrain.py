@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ from metagrad import (
     stack_objectives,
     validation_gradient,
 )
-from metagrad.estimators import _expansion
+from metagrad.estimators import _cascade
 from metagrad.metatrain import (
     TRAIN_CSV_HEADER,
     _estimator_errors,
@@ -213,9 +214,11 @@ class TestSampling:
     @pytest.mark.parametrize("batch", [1, 10])
     def test_equals_the_per_task_reference(self, family, batch):
         # the stacks hold exactly the per-task sampler's data, and both leave the task stream at
-        # the same point; this pins the stacked label draws and sine targets to the per-task ones
-        for seed in range(4):
-            cfg = MetaTrainConfig(family=family, meta_batch=batch, hmax=2.0)
+        # the same point; this pins the stacked label draws and sine targets to the per-task ones,
+        # and the quadratic and logistic draws at every dim tried (LAPACK's blocking can depend on d)
+        dims = (6,) if family == "sinusoid" else (1, 2, 6, 20)  # the sine regressor's size is fixed
+        for dim, seed in itertools.product(dims, range(4)):
+            cfg = MetaTrainConfig(family=family, meta_batch=batch, dim=dim, hmax=2.0)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got, want = sample_task_batch(cfg, rng), reference_task_batch(cfg, ref_rng)
             for side in ("train", "val"):
@@ -224,7 +227,7 @@ class TestSampling:
                 got_vars = vars(getattr(got, side))
                 assert got_vars.keys() == vars(stacked).keys()
                 for name, value in vars(stacked).items():
-                    assert np.array_equal(got_vars[name], value), (seed, side, name)
+                    assert np.array_equal(got_vars[name], value), (dim, seed, side, name)
             assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_unknown_family(self):
@@ -290,7 +293,7 @@ def _errors_one_cascade_per_estimate(traj, g, l_values, rescale_alpha):
     """The sweep's errors composed estimate by estimate: the right edge of the
     order-K cascade for the exact and truncated products, then one whole binom
     cascade per L."""
-    products = _expansion(traj, g, traj.K, traj.K)[1]
+    products = _cascade(traj.hvp_stage, 0, traj.K, (traj.K,), traj.alpha, g)[1]
     exact = products[-1]
     e_fo = estimation_error(g, exact)
     return [
