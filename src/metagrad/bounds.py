@@ -147,25 +147,21 @@ def bound_sweep(theorem: int, bi: BoundInputs) -> List[SweepRow]:
 
     Regimes 2 and 3 sweep L = 0..K; regime 4 sweeps L = M..K (the figure
     protocol: rows past K-M evaluate the formulas literally, with empty sums
-    zero). At L = 0 every estimator coincides with the first-order one, so
+    zero). Regime 4 checks its first row with :func:`bounds_strongcvx`, so it
+    requires what that function does: 0 < alpha <= 1/H, h <= H and M <= K-M.
+    At L = 0 every estimator coincides with the first-order one, so
     the L = 0 row reports the first-order bound for all three columns and
     ratios anchored at exactly 1.
     """
     if theorem not in (2, 3, 4):
         raise ValueError(f"theorem selector must be 2, 3, or 4, got {theorem}")
     if theorem == 4:
-        if bi.M > bi.K - bi.M:
-            raise ValueError(f"need M <= K-M, got M={bi.M}, K={bi.K}")
-        l_values = range(bi.M, bi.K + 1)
-    else:
-        l_values = range(0, bi.K + 1)
+        bounds_strongcvx(replace(bi, L=bi.M))  # alpha*H <= 1 and h <= H for every row, and M <= K-M
+    formula = {2: bounds_smooth, 3: bounds_convex, 4: _strongcvx_values}[theorem]
 
     rows = []
-    for L in l_values:
-        point = replace(bi, L=L)
-        v = bounds_smooth(point) if theorem == 2 else (
-            bounds_convex(point) if theorem == 3 else _strongcvx_values(point)
-        )
+    for L in range(bi.M if theorem == 4 else 0, bi.K + 1):
+        v = formula(replace(bi, L=L))
         if L == 0:
             # all estimators coincide with first-order at L = 0 (exact anchor;
             # for the smooth regime the formula already telescopes to e_fo)

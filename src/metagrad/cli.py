@@ -45,6 +45,19 @@ from .metatrain import (
 from .objectives import sharpness_sequence
 from .svgchart import line_chart
 
+# the task keys error-sweep and metatrain share, each mapped onto MetaTrainConfig by _task_config
+TASK_SCHEMA = {
+    "family": ("str", "quadratic"),
+    "K": ("int", 5),
+    "alpha": ("float", None),  # None means the family default (see _finalize)
+    "H": ("float", 1.0),
+    "batch": ("int", 10),
+    "shots": ("int", 10),
+    "d": ("int", 6),
+    "rescale_alpha": ("bool", False),
+    "seed": ("int", 0),
+}
+
 # key -> (type tag, default) per subcommand; config files and flags may only
 # touch these keys
 SCHEMAS = {
@@ -57,40 +70,19 @@ SCHEMAS = {
         "M": ("int", 1),
         "g_norm": ("float", 1.0),
     },
-    "error-sweep": {
-        "family": ("str", "quadratic"),
-        "K": ("int", 5),
-        "alpha": ("float", None),  # None means the family default (see _finalize)
-        "H": ("float", 1.0),
-        "batches": ("int", 100),
-        "batch": ("int", 10),
-        "shots": ("int", 10),
-        "d": ("int", 6),
-        "rescale_alpha": ("bool", False),
-        "seed": ("int", 0),
-    },
+    "error-sweep": {**TASK_SCHEMA, "batches": ("int", 100)},
     "metatrain": {
-        "family": ("str", "quadratic"),
+        **TASK_SCHEMA,
         "estimator": ("str", "full"),
         "L": ("int", 0),
         "C": ("int", -1),  # -1 means "use K"
         "lambda": ("float", None),  # None means the family default (see _finalize)
-        "rescale_alpha": ("bool", False),
-        "alpha": ("float", None),
         "beta": ("float", None),
-        "K": ("int", 5),
-        "H": ("float", 1.0),
-        "batch": ("int", 10),
         "iters": ("int", -1),  # -1 means the family default (see _finalize)
-        "shots": ("int", 10),
-        "d": ("int", 6),
         "eps": ("float", 1.0),
         "track_errors": ("bool", False),
-        "seed": ("int", 0),
     },
-    "cost": {
-        "K": ("int", 5),
-    },
+    "cost": {"K": ("int", 5)},
 }
 
 _PARSERS = {
@@ -194,19 +186,9 @@ def _echo_config(out_dir: Path, command: str, cfg: dict):
 
 def run_bounds(cfg: dict, out_dir: Path):
     theorems = (2, 3, 4) if cfg["theorem"] == "all" else (int(cfg["theorem"]),)
-    all_rows = []
-    for theorem in theorems:
-        bi = BoundInputs(
-            K=cfg["K"],
-            L=0 if theorem != 4 else cfg["M"],
-            alpha=cfg["alpha"],
-            H=cfg["H"],
-            h=cfg["h"] if theorem == 4 else 0.0,
-            M=cfg["M"] if theorem == 4 else 0,
-            g_norm=cfg["g_norm"],
-        )
-        rows = bound_sweep(theorem, bi)
-        all_rows.extend(rows)
+    bi = BoundInputs(K=cfg["K"], L=0, alpha=cfg["alpha"], H=cfg["H"], h=cfg["h"], M=cfg["M"], g_norm=cfg["g_norm"])
+    sweeps = {theorem: bound_sweep(theorem, bi) for theorem in theorems}  # every regime checked before a write
+    for theorem, rows in sweeps.items():
         ls = [r.L for r in rows]
         svg = line_chart(
             [
@@ -219,21 +201,21 @@ def run_bounds(cfg: dict, out_dir: Path):
             ylabel="bound / first-order bound",
         )
         _write(out_dir, f"bounds_theorem{theorem}.svg", svg)
-    _write(out_dir, "bounds.csv", sweep_csv(all_rows))
+    _write(out_dir, "bounds.csv", sweep_csv([r for rows in sweeps.values() for r in rows]))
+
+
+def _task_config(cfg: dict, estimator: dict, **fields) -> MetaTrainConfig:
+    """The MetaTrainConfig of cfg's TASK_SCHEMA keys, the EstimatorConfig fields
+    ``estimator`` and the runner's other MetaTrainConfig ``fields``."""
+    return MetaTrainConfig(
+        estimator=EstimatorConfig(rescale_alpha=cfg["rescale_alpha"], **estimator),
+        family=cfg["family"], K=cfg["K"], alpha=cfg["alpha"], hmax=cfg["H"], meta_batch=cfg["batch"],
+        shots=cfg["shots"], dim=cfg["d"], seed=cfg["seed"], **fields,
+    )
 
 
 def run_error_sweep(cfg: dict, out_dir: Path):
-    mt = MetaTrainConfig(
-        family=cfg["family"],
-        alpha=cfg["alpha"],
-        K=cfg["K"],
-        meta_batch=cfg["batch"],
-        seed=cfg["seed"],
-        shots=cfg["shots"],
-        dim=cfg["d"],
-        hmax=cfg["H"],
-        estimator=EstimatorConfig(kind="binom", rescale_alpha=cfg["rescale_alpha"]),
-    )
+    mt = _task_config(cfg, dict(kind="binom"))
     l_values = list(range(cfg["K"] + 1))
     per_batch, averaged = run_error_experiment(mt, l_values, cfg["batches"])
     _write(out_dir, "errors_per_batch.csv", per_batch_csv(per_batch))
@@ -267,28 +249,9 @@ def run_error_sweep(cfg: dict, out_dir: Path):
 
 
 def run_metatrain_cmd(cfg: dict, out_dir: Path):
-    est = EstimatorConfig(
-        kind=cfg["estimator"],
-        L=cfg["L"],
-        C=None if cfg["C"] < 0 else cfg["C"],
-        rescale_alpha=cfg["rescale_alpha"],
-        imaml_lambda=cfg["lambda"],
-        reptile_eps=cfg["eps"],
-    )
-    mt = MetaTrainConfig(
-        estimator=est,
-        family=cfg["family"],
-        alpha=cfg["alpha"],
-        beta=cfg["beta"],
-        K=cfg["K"],
-        hmax=cfg["H"],
-        meta_batch=cfg["batch"],
-        iterations=cfg["iters"],
-        seed=cfg["seed"],
-        shots=cfg["shots"],
-        dim=cfg["d"],
-        track_errors=cfg["track_errors"],
-    )
+    est = dict(kind=cfg["estimator"], L=cfg["L"], C=None if cfg["C"] < 0 else cfg["C"],
+               imaml_lambda=cfg["lambda"], reptile_eps=cfg["eps"])
+    mt = _task_config(cfg, est, beta=cfg["beta"], iterations=cfg["iters"], track_errors=cfg["track_errors"])
     records, _ = run_metatrain(mt)
     _write(out_dir, "train.csv", train_csv(records))
     svg = line_chart(

@@ -286,8 +286,8 @@ def imaml_meta_gradient(
     phi_final,
     g,
     lam: float,
-    cg_tol: float = 1e-10,
-    cg_iters: Optional[int] = None,
+    cg_tol: float = EstimatorConfig.cg_tol,
+    cg_iters: Optional[int] = EstimatorConfig.cg_iters,
 ) -> MetaGradient:
     """Implicit estimate: solve (I + H/lambda) x = g at phi_final by CG.
 

@@ -117,6 +117,8 @@ class MetaTrainConfig:
             raise ValueError("K must be >= 1")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
         if self.hmax < 0:
             raise ValueError("hmax must be >= 0")
 
@@ -144,8 +146,6 @@ def sample_task_batch(cfg: MetaTrainConfig, rng: np.random.Generator) -> TaskBat
                 u[side, t] = rng.uniform(size=n)
         y = (u < LogisticTask._sigmoid(_matvec(x.swapaxes(-1, -2), w))).astype(float)
         return TaskBatch(LogisticTask(x[0], y[0]), LogisticTask(x[1], y[1]))
-    if cfg.shots < 1:
-        raise ValueError("batch and shots must be >= 1")
     amplitude, phase, x = np.empty((B, 1)), np.empty((B, 1)), np.empty((2, B, cfg.shots))
     for t in range(B):
         amplitude[t] = rng.uniform(*AMPLITUDE_RANGE)

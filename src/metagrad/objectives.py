@@ -1,7 +1,9 @@
 """Smooth task objectives: value, gradient, and Hessian-vector products.
 
 A task objective exposes ``value``, ``gradient`` and ``hvp``; ``hvp`` takes one
-(point, direction) pair or B x d stacks of them, and ``linearize(phi)`` returns
+(point, direction) pair, B x d stacks of them, or a cascade stage (what
+``Trajectory.hvp_stage`` sends: width entries, each a (d,) iterate or a B x d
+stack, with as many directions), and ``linearize(phi)`` returns
 the HVP operator at phi for many directions (imaml applies one per live set of
 tasks). Each family's constructor takes one task's data or B tasks' data on a
 leading axis (A as B x d x d, X as B x d x n, sine data as B x n) and validates
@@ -38,7 +40,9 @@ class TaskObjective(abc.ABC):
     ``hvp(phi, v)`` takes one point and one direction, each of shape (d,), or
     B x d stacks of both, and returns H(phi[j]) v[j] in row j; every row equals
     the single-pair product bit for bit (phi and v of two shapes raise
-    ``ValueError``).
+    ``ValueError``). It also takes a stage, as ``Trajectory.hvp_stage`` sends
+    it: width iterates phi[j] and directions v[j], each (d,) or B x d, with
+    H(phi[j]) v[j] in entry j.
     """
 
     dim: int

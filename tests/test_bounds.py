@@ -255,9 +255,14 @@ class TestSweep:
         rows = bound_sweep(4, BoundInputs(L=1, M=1, h=0.1, **FIG_PARAMS))
         assert [r.L for r in rows] == [1, 2, 3, 4, 5]
 
-    def test_strongcvx_m_constraint(self):
-        with pytest.raises(ValueError, match="M"):
-            bound_sweep(4, BoundInputs(L=3, M=3, h=0.1, **FIG_PARAMS))
+    @pytest.mark.parametrize("change, match", [
+        (dict(M=3), "M <="), (dict(alpha=2.0), "1/H"), (dict(h=5.0), "h cannot exceed H"),
+    ], ids=["M-past-K-M", "alphaH-above-1", "h-above-H"])
+    def test_strongcvx_m_constraint(self, change, match):
+        # the sweep checks what bounds_strongcvx checks
+        bi = BoundInputs(L=3, **{**FIG_PARAMS, "M": 1, "h": 0.1, **change})
+        with pytest.raises(ValueError, match=match):
+            bound_sweep(4, bi)
 
     def test_bad_selector(self):
         with pytest.raises(ValueError):

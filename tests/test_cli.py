@@ -70,6 +70,19 @@ class TestBounds:
         code = main(["bounds", "--theorem", "4", "--M", "3", "--K", "5", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("argv, condition", [
+        (["--theorem", "4", "--alpha", "2"], "1/H"),
+        (["--h", "5"], "h cannot exceed H"),
+        (["--theorem", "4", "--alpha", "8", "--M", "2"], "1/H"),
+    ], ids=["theorem4-alpha2", "all-h5", "theorem4-alpha8-M2"])
+    def test_regime4_outside_its_conditions_exits_one(self, tmp_path, capsys, argv, condition):
+        # regime 4 holds only for alpha*H <= 1 and h <= H; no regime's file is written
+        out = tmp_path / "x"
+        assert main(["bounds", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("metagrad: error: ") and err.count("\n") == 1 and condition in err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.txt"]
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -79,18 +92,25 @@ class TestBounds:
 
 
 class TestErrorSweep:
-    def test_quadratic_sweep(self, tmp_path):
+    @pytest.mark.parametrize("family", ["quadratic", "sinusoid"])
+    def test_expansion_beats_truncation(self, tmp_path, family):
+        # sinusoid at its default alpha; between L = 0 and L = K the expansion error is below truncation's
         out = tmp_path / "run"
         args = [
-            "error-sweep", "--family", "quadratic", "--K", "5", "--batches", "5",
+            "error-sweep", "--family", family, "--K", "5", "--batches", "5",
             "--batch", "10", "--d", "4", "--seed", "0", "--out", str(out),
         ]
         assert main(args) == 0
         averaged = read_csv(out / "errors_averaged.csv")
         assert [r["L"] for r in averaged] == [str(i) for i in range(6)]
         for r in averaged:
-            if r["L"] not in ("0", "5"):
-                assert float(r["err_bin"]) < float(r["err_tr"])
+            fo, tr, binom = (float(r[c]) for c in ("err_fo", "err_tr", "err_bin"))
+            if r["L"] == "0":
+                assert fo == tr == binom
+            elif r["L"] == "5":
+                assert tr == binom == 0.0
+            else:
+                assert binom < tr < fo
         per_batch = read_csv(out / "errors_per_batch.csv")
         assert len(per_batch) == 5 * 6
         assert polyline_count(out / "error_vs_batch.svg") == 2
@@ -280,8 +300,11 @@ class TestMetatrain:
         (["error-sweep", "--d", "0", "--batches", "1"], "dim"),
         (["metatrain", "--H", "-1", "--iters", "1"], "hmax"),
         (["error-sweep", "--H", "-1", "--batches", "1"], "hmax"),
+        (["metatrain", "--family", "quadratic", "--shots", "0", "--iters", "1"], "shots"),
+        (["error-sweep", "--family", "quadratic", "--shots", "0", "--batches", "1"], "shots"),
     ],
-    ids=["metatrain-iters0", "metatrain-d0", "error-sweep-d0", "metatrain-H-1", "error-sweep-H-1"],
+    ids=["metatrain-iters0", "metatrain-d0", "error-sweep-d0", "metatrain-H-1", "error-sweep-H-1",
+         "metatrain-shots0", "error-sweep-shots0"],
 )
 def test_invalid_size_exits_one_naming_field(tmp_path, capsys, argv, field):
     out = tmp_path / "x"

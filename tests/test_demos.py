@@ -32,18 +32,3 @@ def test_sharp_instances_meet_the_bounds(capsys):
     assert len(pairs) == 13
     assert all(measured == bound for measured, bound in pairs)
 
-
-def test_estimator_errors_expansion_beats_truncation(capsys):
-    # both families' tables; between L = 0 and L = K the expansion error is below truncation's
-    module = load_demo("estimator_errors")
-    module.main()
-    rows = re.findall(r"^ +(\d+) +(\S+) +(\S+) +(\S+) +(\S+)$", capsys.readouterr().out, re.M)
-    K = module.K
-    assert [int(r[0]) for r in rows] == list(range(K + 1)) * 2
-    for L, fo, tr, binom, _ in ((int(r[0]), *map(float, r[1:])) for r in rows):
-        if L == 0:
-            assert fo == tr == binom
-        elif L == K:
-            assert tr == binom == 0.0
-        else:
-            assert binom < tr < fo
