@@ -66,7 +66,6 @@ from .objectives import (
     mlp_init,
     random_spd,
     sharpness_sequence,
-    stack_objectives,
 )
 
 __version__ = "0.1.0"

@@ -49,16 +49,15 @@ class BoundInputs:
             raise ValueError(f"K must lie in [0, {MAX_K}] (overflow guard)")
         if not 0 <= self.L <= self.K:
             raise ValueError(f"need 0 <= L <= K, got L={self.L}, K={self.K}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.H <= 0:
-            raise ValueError("H must be positive")
-        if self.h < 0:
-            raise ValueError("h must be nonnegative")
+        for name in ("alpha", "H"):
+            if not 0 < getattr(self, name) < math.inf:  # written so that NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.h < math.inf:
+            raise ValueError("h must be finite and nonnegative")
         if self.M < 0:
             raise ValueError("M must be nonnegative")
-        if self.g_norm < 0:
-            raise ValueError("||g|| must be nonnegative")
+        if not 0 <= self.g_norm < math.inf:
+            raise ValueError("||g|| must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -216,8 +216,7 @@ def _task_config(cfg: dict, estimator: dict, **fields) -> MetaTrainConfig:
 
 def run_error_sweep(cfg: dict, out_dir: Path):
     mt = _task_config(cfg, dict(kind="binom"))
-    l_values = list(range(cfg["K"] + 1))
-    per_batch, averaged = run_error_experiment(mt, l_values, cfg["batches"])
+    per_batch, averaged = run_error_experiment(mt, cfg["batches"])
     _write(out_dir, "errors_per_batch.csv", per_batch_csv(per_batch))
     _write(out_dir, "errors_averaged.csv", averaged_csv(averaged))
 

@@ -103,8 +103,10 @@ class EstimatorConfig:
     hybrid estimator (L <= C <= K), ``rescale_alpha`` swaps alpha for
     L*alpha/K inside the binomial expansion, ``imaml_lambda`` the implicit
     regularization weight, and ``reptile_eps`` the interpolation step in
-    (0, 1]. imaml's CG always runs to relative residual ``cg_tol`` with no
-    iteration cap (``cg_iters`` None); both are constants, not fields.
+    (0, 1]. imaml's CG runs to relative residual ``cg_tol`` or for at most
+    10 * d iterations (``cg_iters`` None, which ``conjugate_gradient`` reads as
+    10 * d); both are constants, not fields. ``meta_step`` does not read
+    ``MetaGradient.converged``, so a task stopped at the cap is used as is.
     """
 
     cg_tol: ClassVar[float] = 1e-10
@@ -296,8 +298,10 @@ def imaml_meta_gradient(
     ``obj.linearize(phi_final)`` to the tasks still iterating (linearized again
     only when one converges and leaves). The map must be SPD at phi_final (true whenever
     the local Hessian is strictly above -lambda I); CG raises on non-positive
-    curvature, and non-convergence is reported through the returned
-    counters/flag rather than aborting. One HVP per task and CG iteration.
+    curvature. CG stops at ``cg_iters`` iterations, 10 * d when None;
+    non-convergence is reported through the returned counters and the
+    ``converged`` flag rather than aborting (``meta_step`` does not read it).
+    One HVP per task and CG iteration.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")

@@ -42,7 +42,6 @@ from .objectives import (
     _matvec,
     mlp_init,
     random_spd,
-    stack_objectives,
     take_rows,
 )
 
@@ -72,11 +71,6 @@ class TaskBatch(Sequence):
 
     train: TaskObjective
     val: TaskObjective
-
-    @classmethod
-    def stack(cls, pairs) -> "TaskBatch":
-        """The batch of single-task ``TaskPair``s of one family."""
-        return cls(stack_objectives([p.train for p in pairs]), stack_objectives([p.val for p in pairs]))
 
     def __len__(self) -> int:
         # the task axis leads every array of a stacked objective
@@ -119,8 +113,8 @@ class MetaTrainConfig:
             raise ValueError("dim must be >= 1")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.hmax < 0:
-            raise ValueError("hmax must be >= 0")
+        if not 0 <= self.hmax < math.inf:
+            raise ValueError("hmax must be finite and >= 0")
 
 
 def sample_task_batch(cfg: MetaTrainConfig, rng: np.random.Generator) -> TaskBatch:
@@ -234,13 +228,11 @@ def _adapt(tasks: TaskBatch, theta, cfg: MetaTrainConfig):
     return traj, validation_gradient(tasks.val, traj)
 
 
-def meta_step(theta: np.ndarray, tasks: Sequence, cfg: MetaTrainConfig):
-    """One outer update over a one-family task batch (a ``TaskBatch``, or ``TaskPair``s
-    to stack), run as one stack; returns (theta', TrainRecordRow). The row's
-    iteration is left at 0; the caller stamps it."""
+def meta_step(theta: np.ndarray, tasks: TaskBatch, cfg: MetaTrainConfig):
+    """One outer update over a task batch, run as one stack; returns (theta',
+    TrainRecordRow). The row's iteration is left at 0; the caller stamps it."""
     if not tasks:
         raise ValueError("task batch must be non-empty")
-    tasks = tasks if isinstance(tasks, TaskBatch) else TaskBatch.stack(tasks)
     est = cfg.estimator
 
     def phases(batch):
@@ -300,37 +292,37 @@ PER_BATCH_CSV_HEADER = "batch,L,err_fo,err_tr,err_bin"
 AVERAGED_CSV_HEADER = "L,err_fo,err_tr,err_bin"
 
 
-def run_error_experiment(cfg: MetaTrainConfig, l_values: Sequence[int], batches: int):
+def run_error_experiment(cfg: MetaTrainConfig, batches: int):
     """Measure actual estimator errors at a fixed prior; no outer updates.
 
     For every batch: adapt the tasks from the same theta as one stack, take
     the exact product as the reference, and record the batch-mean errors of
-    the first-order, truncated, and expansion estimates at each L. Every
+    the first-order, truncated, and expansion estimates at each L = 0..K. Every
     estimate comes off one stacked cascade per effective alpha (see
     ``_estimator_errors``). Returns (per_batch_rows, averaged_rows).
     """
     if batches < 1:
         raise ValueError("batches must be >= 1")
-    l_values = list(l_values)
+    l_values = range(cfg.K + 1)
 
     init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     theta = initial_theta(cfg, np.random.default_rng(init_ss))
     task_rng = np.random.default_rng(task_ss)
 
     per_batch = []
-    sums = [np.zeros(3) for _ in l_values]  # by position, so a repeated L is not summed twice
+    sums = np.zeros((len(l_values), 3))
     for b in range(batches):
         tasks = sample_task_batch(cfg, task_rng)
         errs = _run_stacked(
             lambda ts: _estimator_errors(*_adapt(ts, theta, cfg), l_values, cfg.estimator.rescale_alpha),
             tasks, f"batch {b}, ")
-        for L, per_task, total in zip(l_values, errs, sums):
+        for L, per_task in enumerate(errs):
             mean = np.mean(np.stack(per_task, axis=1), axis=0)  # tasks x (e_fo, e_tr, e_bin)
-            total += mean
+            sums[L] += mean
             per_batch.append(ErrorRow(b, L, float(mean[0]), float(mean[1]), float(mean[2])))
 
     averaged = [
-        ErrorRow(-1, L, *(float(x) for x in total / batches)) for L, total in zip(l_values, sums)
+        ErrorRow(-1, L, *(float(x) for x in total / batches)) for L, total in enumerate(sums)
     ]
     return per_batch, averaged
 

@@ -1,16 +1,17 @@
 """Smooth task objectives: value, gradient, and Hessian-vector products.
 
-A task objective exposes ``value``, ``gradient`` and ``hvp``; ``hvp`` takes one
+A task objective exposes ``value``, ``gradient`` and ``linearize``:
+``linearize(phi)`` returns the HVP operator at phi, which computes what depends
+on phi alone once for every direction it is applied to (imaml's CG applies one
+per live set of tasks). ``hvp(phi, v)`` is ``linearize(phi)(v)``; it takes one
 (point, direction) pair, B x d stacks of them, or a cascade stage (what
 ``Trajectory.hvp_stage`` sends: width entries, each a (d,) iterate or a B x d
-stack, with as many directions), and ``linearize(phi)`` returns
-the HVP operator at phi for many directions (imaml applies one per live set of
-tasks). Each family's constructor takes one task's data or B tasks' data on a
-leading axis (A as B x d x d, X as B x d x n, sine data as B x n) and validates
-it once; ``stack_objectives`` stacks objectives already built. A stacked
-objective's methods take B x d points, task t's result bit for bit in row t,
-and ``take_rows`` keeps a subset of the rows (one task's objective for an int).
-The sine regressor serves a cascade stage B rows at a time with no stacked copy.
+stack, with as many directions). Each family's constructor takes one task's data
+or B tasks' data on a leading axis (A as B x d x d, X as B x d x n, sine data as
+B x n) and validates it once. A stacked objective's methods take B x d points,
+task t's result bit for bit in row t, and ``take_rows`` keeps a subset of the
+rows (one task's objective for an int). The sine regressor serves a stage of
+B x d entries entry by entry, each straight into its rows with no stacked copy.
 Families:
 
 * :class:`QuadraticTask` -- closed-form constant-Hessian oracle family.
@@ -35,14 +36,16 @@ MLP_HIDDEN = 40  # regressor is 1 -> 40 -> 40 -> 1 with tanh activations
 
 
 class TaskObjective(abc.ABC):
-    """Contract for a smooth loss: value, gradient, HVP at any point.
+    """Contract for a smooth loss: value, gradient, and the HVP operator at any point.
 
-    ``hvp(phi, v)`` takes one point and one direction, each of shape (d,), or
-    B x d stacks of both, and returns H(phi[j]) v[j] in row j; every row equals
-    the single-pair product bit for bit (phi and v of two shapes raise
-    ``ValueError``). It also takes a stage, as ``Trajectory.hvp_stage`` sends
-    it: width iterates phi[j] and directions v[j], each (d,) or B x d, with
-    H(phi[j]) v[j] in entry j.
+    A family implements ``linearize(phi)``, the HVP operator at phi: it computes
+    what depends on phi alone once, for every direction it is applied to.
+    ``hvp(phi, v)`` is ``linearize(phi)(v)``. phi and v are one point and one
+    direction, each of shape (d,), or B x d stacks of both, with H(phi[j]) v[j] in
+    row j; every row equals the single-pair product bit for bit (phi and v of two
+    shapes raise ``ValueError``). They may also be a stage, as
+    ``Trajectory.hvp_stage`` sends it: width iterates phi[j] and directions v[j],
+    each (d,) or B x d, with H(phi[j]) v[j] in entry j.
     """
 
     dim: int
@@ -54,12 +57,10 @@ class TaskObjective(abc.ABC):
     def gradient(self, phi) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def hvp(self, phi, v) -> np.ndarray: ...
+    def linearize(self, phi): ...
 
-    def linearize(self, phi):
-        """The HVP operator at phi: ``linearize(phi)(v)`` is ``hvp(phi, v)``. A family may
-        compute what depends on phi alone once, for every direction it is applied to."""
-        return lambda v: self.hvp(phi, v)
+    def hvp(self, phi, v) -> np.ndarray:
+        return self.linearize(phi)(v)
 
 
 def _matvec(m, v):
@@ -74,17 +75,6 @@ def _direction(phi, v):
     if phi.shape != v.shape:
         raise ValueError(f"hvp takes phi and v of one shape, (d,) or stacked, got {phi.shape} and {v.shape}")
     return v
-
-
-def stack_objectives(objs) -> TaskObjective:
-    """One objective over a leading task axis from objectives of one family and
-    shape: row t of its results is objs[t]'s. The data is not validated again."""
-    if len({type(o) for o in objs}) != 1:
-        raise ValueError("stacked objectives must share one family")
-    stacked = object.__new__(type(objs[0]))
-    stacked.__dict__ = {name: np.stack([vars(o)[name] for o in objs]) if isinstance(value, np.ndarray) else value
-                        for name, value in vars(objs[0]).items()}
-    return stacked
 
 
 def take_rows(stacked: TaskObjective, rows) -> TaskObjective:
@@ -117,8 +107,9 @@ class QuadraticTask(TaskObjective):
     def gradient(self, phi) -> np.ndarray:
         return _matvec(self.a, as_vectors(phi)) + self.b
 
-    def hvp(self, phi, v) -> np.ndarray:
-        return _matvec(self.a, _direction(as_vectors(phi), v))
+    def linearize(self, phi):
+        phi = as_vectors(phi)
+        return lambda v: _matvec(self.a, _direction(phi, v))
 
 
 class LogisticTask(TaskObjective):
@@ -155,12 +146,13 @@ class LogisticTask(TaskObjective):
         z = _matvec(self.x.swapaxes(-1, -2), as_vectors(phi))
         return _matvec(self.x, self._sigmoid(z) - self.y) / self.n
 
-    def hvp(self, phi, v) -> np.ndarray:
+    def linearize(self, phi):
+        # the curvature weights s' = s * (1 - s) at phi, computed once
         phi = as_vectors(phi)
-        v = _direction(phi, v)
         xt = self.x.swapaxes(-1, -2)
         s = self._sigmoid(_matvec(xt, phi))
-        return _matvec(self.x, (s * (1.0 - s)) * _matvec(xt, v)) / self.n
+        weights = s * (1.0 - s)
+        return lambda v: _matvec(self.x, weights * _matvec(xt, _direction(phi, v))) / self.n
 
 
 def _mlp_slices():
@@ -234,12 +226,25 @@ class MlpObjective(TaskObjective):
         _, _, _, yhat = self._forward(as_vectors(theta))
         return np.mean((yhat - self.y) ** 2, axis=-1)
 
+    def _backward(self, theta):
+        # the backprop terms gradient and linearize share (dy as ... x 1 x n, s = 1 - h^2), in gradient's
+        # order. s2 and w3 dy, which only linearize reads, lead the tuple so that gradient's unpacking
+        # into _ frees them at once: holding them until gradient returned raised every sine op's bench
+        # time by about 4%
+        p, h1, h2, yhat = self._forward(theta)
+        dy = (2.0 * (yhat - self.y) / self.x.shape[-1])[..., None, :]
+        g2 = p["w3"][..., None] * dy
+        s2 = 1.0 - h2 * h2
+        da2 = g2 * s2
+        g1 = p["w2"].swapaxes(-1, -2) @ da2
+        s1 = 1.0 - h1 * h1
+        return s2, g2, p, h1, h2, dy, s1, da2, g1
+
     def gradient(self, theta) -> np.ndarray:
         theta = as_vectors(theta)
-        p, h1, h2, yhat = self._forward(theta)
-        dy = 2.0 * (yhat - self.y) / self.x.shape[-1]
-        da2 = p["w3"][..., None] * dy[..., None, :] * (1.0 - h2 * h2)
-        da1 = (p["w2"].swapaxes(-1, -2) @ da2) * (1.0 - h1 * h1)
+        _, _, _, h1, h2, dy, s1, da2, g1 = self._backward(theta)
+        da1 = g1 * s1
+        dy = dy[..., 0, :]
         blocks = [_matvec(da1, self.x), da1.sum(axis=-1), (da2 @ h1.swapaxes(-1, -2)).reshape(theta.shape[:-1] + (-1,)),
                   da2.sum(axis=-1), _matvec(h2, dy), dy.sum(axis=-1, keepdims=True)]
         return np.concatenate(blocks, axis=-1)
@@ -258,15 +263,9 @@ class MlpObjective(TaskObjective):
     def linearize(self, theta):
         # the R-op's terms that depend on theta alone, computed once; the operator runs the v-dependent half
         theta = as_vectors(theta)
-        p, h1, h2, yhat = self._forward(theta)
+        s2, g2, p, h1, h2, dy, s1, da2, g1 = self._backward(theta)
         n = self.x.shape[-1]
-        dy = (2.0 * (yhat - self.y) / n)[..., None, :]
-        s1 = 1.0 - h1 * h1
-        s2 = 1.0 - h2 * h2
         w2t = p["w2"].swapaxes(-1, -2)
-        g2 = p["w3"][..., None] * dy
-        da2 = g2 * s2
-        g1 = w2t @ da2
 
         def op(v, out=None):
             q = _unpack(_direction(theta, v))

@@ -10,6 +10,8 @@ from metagrad import (
     MlpObjective,
     PrescribedHessianSequence,
     QuadraticTask,
+    TaskBatch,
+    TaskObjective,
     TaskPair,
     Trajectory,
     bounds_smooth,
@@ -35,6 +37,22 @@ def random_logistic(rng: np.random.Generator, w: np.ndarray, n: int) -> Logistic
     probs = LogisticTask._sigmoid(x.T @ w)
     y = (rng.uniform(size=n) < probs).astype(float)
     return LogisticTask(x, y)
+
+
+def stack_objectives(objs) -> TaskObjective:
+    """One objective over a leading task axis from objectives of one family and
+    shape: row t of its results is objs[t]'s. The data is not validated again."""
+    if len({type(o) for o in objs}) != 1:
+        raise ValueError("stacked objectives must share one family")
+    stacked = object.__new__(type(objs[0]))
+    stacked.__dict__ = {name: np.stack([vars(o)[name] for o in objs]) if isinstance(value, np.ndarray) else value
+                        for name, value in vars(objs[0]).items()}
+    return stacked
+
+
+def task_batch(pairs) -> TaskBatch:
+    """The ``TaskBatch`` of single-task ``TaskPair``s of one family."""
+    return TaskBatch(stack_objectives([p.train for p in pairs]), stack_objectives([p.val for p in pairs]))
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def test_criterion_5_combinatorial_identities():
 def test_criterion_6_actual_error_dominance():
     quad = MetaTrainConfig(family="quadratic", K=5, alpha=0.25, hmax=1.0,
                            meta_batch=10, dim=6, seed=510)
-    _, avg_quad = run_error_experiment(quad, [1, 2, 3, 4], batches=10)
+    avg_quad = run_error_experiment(quad, batches=10)[1][1:5]  # L = 1..4
     ok = all(r.err_bin < r.err_tr for r in avg_quad)
     l4 = next(r for r in avg_quad if r.L == 4)
     ratio = l4.err_bin / l4.err_tr
@@ -228,7 +228,7 @@ def test_criterion_6_actual_error_dominance():
     # (the bounded-step regime every comparison here presumes)
     sine = MetaTrainConfig(family="sinusoid", K=5, alpha=1e-3, shots=10,
                            meta_batch=10, seed=511)
-    _, avg_sine = run_error_experiment(sine, [1, 2, 3, 4], batches=10)
+    avg_sine = run_error_experiment(sine, batches=10)[1][1:5]
     ok = ok and all(r.err_bin < r.err_tr for r in avg_sine)
 
     _report(6, "mean expansion error beats truncation at every L on both families",

@@ -43,6 +43,24 @@ class TestSmoothBounds:
         with pytest.raises(ValueError, match="overflow"):
             BoundInputs(K=61, L=0, alpha=0.1, H=1.0)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(alpha=math.nan), "alpha must be finite and positive"),
+        (dict(alpha=math.inf), "alpha must be finite and positive"),
+        (dict(alpha=0.0), "alpha must be finite and positive"),
+        (dict(H=math.inf), "H must be finite and positive"),
+        (dict(H=math.nan), "H must be finite and positive"),
+        (dict(h=math.nan), "h must be finite and nonnegative"),
+        (dict(h=math.inf), "h must be finite and nonnegative"),
+        (dict(h=-0.1), "h must be finite and nonnegative"),
+        (dict(g_norm=math.nan), "||g|| must be finite and nonnegative"),
+        (dict(g_norm=math.inf), "||g|| must be finite and nonnegative"),
+    ], ids=["alpha-nan", "alpha-inf", "alpha-0", "H-inf", "H-nan", "h-nan", "h-inf", "h-neg", "g-nan", "g-inf"])
+    def test_non_finite_inputs_rejected(self, change, message):
+        # NaN fails every comparison, so each check is written to fail on it
+        with pytest.raises(ValueError) as info:
+            BoundInputs(**{**FIG_PARAMS, "L": 0, **change})
+        assert str(info.value) == message
+
 
 class TestConvexBounds:
     def test_binomial_value(self):

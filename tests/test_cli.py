@@ -83,6 +83,20 @@ class TestBounds:
         assert err.startswith("metagrad: error: ") and err.count("\n") == 1 and condition in err
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.txt"]
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--alpha", "nan"], "alpha"),
+        (["--theorem", "2", "--H", "inf"], "H"),
+        (["--g-norm", "nan"], "||g||"),
+        (["--g-norm", "inf"], "||g||"),
+        (["--theorem", "4", "--h", "nan"], "h"),
+    ], ids=["alpha-nan", "theorem2-H-inf", "g-norm-nan", "g-norm-inf", "theorem4-h-nan"])
+    def test_non_finite_input_exits_one(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "x"
+        assert main(["bounds", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"metagrad: error: {field} must be finite and ") and err.count("\n") == 1
+        assert not (out / "bounds.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -300,10 +314,13 @@ class TestMetatrain:
         (["error-sweep", "--d", "0", "--batches", "1"], "dim"),
         (["metatrain", "--H", "-1", "--iters", "1"], "hmax"),
         (["error-sweep", "--H", "-1", "--batches", "1"], "hmax"),
+        (["metatrain", "--H", "nan", "--iters", "1"], "hmax"),
+        (["error-sweep", "--H", "inf", "--batches", "1"], "hmax"),
         (["metatrain", "--family", "quadratic", "--shots", "0", "--iters", "1"], "shots"),
         (["error-sweep", "--family", "quadratic", "--shots", "0", "--batches", "1"], "shots"),
     ],
     ids=["metatrain-iters0", "metatrain-d0", "error-sweep-d0", "metatrain-H-1", "error-sweep-H-1",
+         "metatrain-Hnan", "error-sweep-Hinf",
          "metatrain-shots0", "error-sweep-shots0"],
 )
 def test_invalid_size_exits_one_naming_field(tmp_path, capsys, argv, field):

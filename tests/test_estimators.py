@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     binom_expansion_matrix,
+    dense_hessian,
     dense_product,
     logistic_trajectory,
     prescribed_trajectory,
@@ -15,6 +16,7 @@ from conftest import (
     random_quadratic,
     sample_sinusoid_batch,
     sine_trajectory,
+    stack_objectives,
 )
 from metagrad import (
     CostCounters,
@@ -38,7 +40,6 @@ from metagrad import (
     random_spd,
     reptile_direction,
     sharpness_sequence,
-    stack_objectives,
     trunc_meta_gradient,
     validation_gradient,
 )
@@ -438,15 +439,22 @@ class TestStackedImaml:
         counts = [s.cost.hvp_total for s in singles]
         assert mg.cost == CostCounters(sum(counts), max(counts), 4 * len(train))
 
-    def test_linearized_once_per_live_set(self, monkeypatch):
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "sinusoid"])
+    def test_linearized_once_per_live_set(self, monkeypatch, family):
         # CG builds its operator at the start and again only when tasks leave with others still iterating
-        train, phi, g, lam = _imaml_batch("sinusoid", np.random.default_rng(30), batch=4)
+        train, phi, g, lam = _imaml_batch(family, np.random.default_rng(30), batch=4)
+        if family != "sinusoid":
+            # at d = 6 every task takes 6 iterations; task t's g in the span of t + 2 of its Hessian's
+            # eigenvectors takes t + 2, so the tasks leave one by one
+            g = np.stack([np.linalg.eigh(dense_hessian(obj, phi[t]))[1][:, :t + 2].sum(axis=1)
+                          for t, obj in enumerate(train)])
         iters = [imaml_meta_gradient(obj, phi[t], g[t], lam).cost.hvp_total for t, obj in enumerate(train)]
         retires = sorted(set(iters))[:-1]  # the last retire event ends the solve
         assert retires
         built = []
-        linearize = MlpObjective.linearize
-        monkeypatch.setattr(MlpObjective, "linearize", lambda self, p: built.append(len(p)) or linearize(self, p))
+        cls = type(train[0])
+        linearize = cls.linearize
+        monkeypatch.setattr(cls, "linearize", lambda self, p: built.append(len(p)) or linearize(self, p))
         mg = imaml_meta_gradient(stack_objectives(train), phi, g, lam)
         assert built == [len(train)] + [sum(n > r for n in iters) for r in retires]
         assert len(built) == 1 + len(retires) < max(iters)

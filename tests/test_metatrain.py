@@ -11,6 +11,8 @@ from conftest import (
     quadratic_trajectory,
     reference_task_batch,
     sine_trajectory,
+    stack_objectives,
+    task_batch,
 )
 from metagrad import (
     CGBreakdownError,
@@ -35,7 +37,6 @@ from metagrad import (
     run_error_experiment,
     run_metatrain,
     sample_task_batch,
-    stack_objectives,
     validation_gradient,
 )
 from metagrad.estimators import _cascade
@@ -62,7 +63,7 @@ class TestMetaStep:
         val = QuadraticTask(np.eye(3), rng.standard_normal(3))
         cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="full"), alpha=0.3, beta=0.01, K=4, meta_batch=1)
         theta = rng.standard_normal(3)
-        theta_next, row = meta_step(theta, [TaskPair(train, val)], cfg)
+        theta_next, row = meta_step(theta, task_batch([TaskPair(train, val)]), cfg)
 
         m = np.eye(3) - 0.3 * a
         phi = theta.copy()
@@ -76,14 +77,14 @@ class TestMetaStep:
     def test_zero_meta_gradient_is_fixed_point(self):
         cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="full"), meta_batch=1)
         theta = np.array([0.7, -0.3])
-        theta_next, row = meta_step(theta, [TaskPair(_zero_task(), _zero_task())], cfg)
+        theta_next, row = meta_step(theta, task_batch([TaskPair(_zero_task(), _zero_task())]), cfg)
         assert np.array_equal(theta_next, theta)
         assert row.grad_norm == 0.0
 
     def test_reptile_fixed_point(self):
         cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="reptile", reptile_eps=0.5), meta_batch=1)
         theta = np.array([1.0, 2.0])
-        theta_next, _ = meta_step(theta, [TaskPair(_zero_task(), _zero_task())], cfg)
+        theta_next, _ = meta_step(theta, task_batch([TaskPair(_zero_task(), _zero_task())]), cfg)
         assert np.array_equal(theta_next, theta)
 
     def test_divergence_names_the_task(self):
@@ -91,7 +92,7 @@ class TestMetaStep:
         steep = QuadraticTask(1e6 * np.eye(2), np.ones(2))
         tasks = [TaskPair(_zero_task(), _zero_task()), TaskPair(steep, _zero_task())]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match=r"^task 1: "):
-            meta_step(np.ones(2), tasks, cfg)
+            meta_step(np.ones(2), task_batch(tasks), cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_validation_loss_names_the_task(self):
@@ -100,12 +101,12 @@ class TestMetaStep:
         far = TaskPair(QuadraticTask(np.zeros((2, 2)), np.full(2, -1e200)), QuadraticTask(np.eye(2), np.zeros(2)))
         tasks = [TaskPair(_zero_task(), _zero_task()), far, far]
         with pytest.raises(DivergenceError, match=r"^task 1: validation loss is NaN/Inf$"):
-            meta_step(np.ones(2), tasks, cfg)
+            meta_step(np.ones(2), task_batch(tasks), cfg)
 
     def test_empty_batch_rejected(self):
         cfg = MetaTrainConfig()
-        with pytest.raises(ValueError):
-            meta_step(np.zeros(2), [], cfg)
+        with pytest.raises(ValueError, match="non-empty"):
+            meta_step(np.zeros(2), task_batch([TaskPair(_zero_task(), _zero_task())])[1:], cfg)
 
 
 class TestRunMetatrain:
@@ -246,47 +247,49 @@ class TestSampling:
 
 
 class TestErrorExperiment:
+    def test_rows_sweep_every_L(self):
+        cfg = MetaTrainConfig(family="quadratic", meta_batch=2, dim=2, K=3, seed=1)
+        per_batch, averaged = run_error_experiment(cfg, batches=2)
+        assert [(r.batch, r.L) for r in per_batch] == [(b, L) for b in range(2) for L in range(4)]
+        assert [r.L for r in averaged] == list(range(4))
+
     def test_l0_trunc_equals_binom(self):
         cfg = MetaTrainConfig(family="quadratic", meta_batch=5, dim=4, seed=5)
-        per_batch, averaged = run_error_experiment(cfg, [0], batches=3)
+        per_batch, averaged = run_error_experiment(cfg, batches=3)
         for row in per_batch + averaged:
-            assert row.err_tr == row.err_bin == row.err_fo
+            if row.L == 0:
+                assert row.err_tr == row.err_bin == row.err_fo
 
     def test_full_order_error_vanishes(self):
         cfg = MetaTrainConfig(family="quadratic", meta_batch=5, dim=4, K=5, seed=6)
-        _, averaged = run_error_experiment(cfg, [5], batches=2)
-        assert averaged[0].err_bin <= 1e-10
+        _, averaged = run_error_experiment(cfg, batches=2)
+        assert averaged[5].err_bin <= 1e-10
 
     def test_single_batch_averages_trivially(self):
         cfg = MetaTrainConfig(family="quadratic", meta_batch=4, dim=3, seed=8)
-        per_batch, averaged = run_error_experiment(cfg, [1, 2, 1], batches=1)
-        assert len(per_batch) == len(averaged) == 3
+        per_batch, averaged = run_error_experiment(cfg, batches=1)
+        assert len(per_batch) == len(averaged) == cfg.K + 1
         for pb, av in zip(per_batch, averaged):
             assert (pb.L, pb.err_fo, pb.err_tr, pb.err_bin) == (av.L, av.err_fo, av.err_tr, av.err_bin)
 
     def test_binom_beats_trunc_at_high_L(self):
         cfg = MetaTrainConfig(family="quadratic", meta_batch=10, dim=5, K=5, alpha=0.25, seed=9)
-        _, averaged = run_error_experiment(cfg, [4], batches=10)
-        row = averaged[0]
+        _, averaged = run_error_experiment(cfg, batches=10)
+        row = averaged[4]
         assert row.err_bin < 1e-2 * row.err_tr
 
     def test_logistic_family_ordering(self):
         cfg = MetaTrainConfig(family="logistic", K=5, alpha=0.25, meta_batch=5, dim=4, seed=3)
-        _, averaged = run_error_experiment(cfg, [1, 2, 3, 4], batches=4)
-        for row in averaged:
+        _, averaged = run_error_experiment(cfg, batches=4)
+        for row in averaged[1:5]:
             assert row.err_bin < row.err_tr < row.err_fo
 
     def test_csv_headers(self):
         cfg = MetaTrainConfig(family="quadratic", meta_batch=2, dim=2, seed=1)
-        per_batch, averaged = run_error_experiment(cfg, [0, 1], batches=2)
+        per_batch, averaged = run_error_experiment(cfg, batches=2)
         assert per_batch_csv(per_batch).splitlines()[0] == "batch,L,err_fo,err_tr,err_bin"
         assert averaged_csv(averaged).splitlines()[0] == "L,err_fo,err_tr,err_bin"
         assert TRAIN_CSV_HEADER.startswith("iter,meta_loss")
-
-    def test_l_range_validated(self):
-        cfg = MetaTrainConfig(family="quadratic", K=3)
-        with pytest.raises(ValueError):
-            run_error_experiment(cfg, [4], batches=1)
 
 
 def _errors_one_cascade_per_estimate(traj, g, l_values, rescale_alpha):
@@ -381,8 +384,9 @@ def _reference_meta_step(theta, tasks, cfg):
                         sum(mg.cost.hvp_total for mg in mgs))
 
 
-def _reference_error_experiment(cfg, l_values, batches):
+def _reference_error_experiment(cfg, batches):
     """run_error_experiment run task by task: (per_batch_rows, averaged_rows)."""
+    l_values = list(range(cfg.K + 1))
     init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     theta = initial_theta(cfg, np.random.default_rng(init_ss))
     task_rng = np.random.default_rng(task_ss)
@@ -473,7 +477,7 @@ class TestStackedBatch:
         for rescale in (False, True):
             cfg = MetaTrainConfig(estimator=EstimatorConfig(rescale_alpha=rescale), K=4, meta_batch=3, seed=8,
                                   **_STACK_FAMILIES[family])
-            assert run_error_experiment(cfg, [0, 1, 3, 4, 1], 2) == _reference_error_experiment(cfg, [0, 1, 3, 4, 1], 2)
+            assert run_error_experiment(cfg, 2) == _reference_error_experiment(cfg, 2)
 
     def test_one_stacked_adaptation_per_batch(self, monkeypatch):
         # the task-by-task replay runs only after a numerical failure
@@ -482,7 +486,7 @@ class TestStackedBatch:
         cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="binom", L=1), K=3, meta_batch=4, track_errors=True)
         rng = np.random.default_rng(3)
         meta_step(initial_theta(cfg, rng), sample_task_batch(cfg, rng), cfg)
-        run_error_experiment(cfg, [0, 1], 2)
+        run_error_experiment(cfg, 2)
         assert shapes == [(4, 6)] * 3
 
     def test_one_hvp_call_per_cg_iteration(self, monkeypatch):
@@ -544,11 +548,11 @@ class TestStackedDivergence:
         fast = TaskPair(QuadraticTask(1e308 * np.eye(2), np.full(2, 1.7e308)), _zero_task())
         slow = TaskPair(QuadraticTask((1 + 1e80) * np.eye(2), np.zeros(2)), _zero_task())
         theta = np.ones(2)
-        assert _alone([fast], cfg, theta) == "task 0: training gradient diverged (NaN/Inf) at step 0"
-        slow_msg = _alone([slow], cfg, theta)
+        assert _alone(task_batch([fast]), cfg, theta) == "task 0: training gradient diverged (NaN/Inf) at step 0"
+        slow_msg = _alone(task_batch([slow]), cfg, theta)
         assert slow_msg.endswith("at step 3")
         with pytest.raises(DivergenceError, match=r"^task 1: .* step 3$") as info:
-            meta_step(theta, [TaskPair(_zero_task(), _zero_task()), slow, fast], cfg)
+            meta_step(theta, task_batch([TaskPair(_zero_task(), _zero_task()), slow, fast]), cfg)
         assert str(info.value) == slow_msg.replace("task 0", "task 1")
 
     def test_stacked_calls_raise_the_first_failure(self):
@@ -571,9 +575,9 @@ class TestStackedDivergence:
         bad_adapt = TaskPair(QuadraticTask(np.diag([1e308, 0.0]), np.array([1.7e308, 0.0])), _zero_task())
         tasks = [TaskPair(_zero_task(), _zero_task()), bad_val, bad_adapt]
         with pytest.raises(DivergenceError, match=r"^task 1: validation gradient is NaN/Inf$"):
-            meta_step(np.ones(2), tasks, cfg)
+            meta_step(np.ones(2), task_batch(tasks), cfg)
         with pytest.raises(DivergenceError, match=r"^task 1: training gradient diverged \(NaN/Inf\) at step 0$"):
-            meta_step(np.ones(2), [tasks[0], bad_adapt, bad_val], cfg)
+            meta_step(np.ones(2), task_batch([tasks[0], bad_adapt, bad_val]), cfg)
 
     @pytest.mark.parametrize("kind", ["full", "binom"])
     def test_cascade_names_the_first_task(self, kind):
@@ -581,14 +585,13 @@ class TestStackedDivergence:
         cfg = MetaTrainConfig(estimator=EstimatorConfig(kind=kind, L=2), alpha=1.0, K=4, meta_batch=3)
         early, late = _line_task(1 + 1e160, 1e200), _line_task(1 + 1e160, 1.0)
         theta = np.array([0.0, 1.0])
-        assert "cascade stage 0," in _alone([early], cfg, theta)
-        late_msg = _alone([late], cfg, theta)
+        assert "cascade stage 0," in _alone(task_batch([early]), cfg, theta)
+        late_msg = _alone(task_batch([late]), cfg, theta)
         assert "cascade stage 1," in late_msg
         tasks = [_line_task(0.0, 1.0), late, early]
-        for batch in (tasks, TaskBatch.stack(tasks)):
-            with pytest.raises(DivergenceError) as info:
-                meta_step(theta, batch, cfg)
-            assert str(info.value) == late_msg.replace("task 0", "task 1")
+        with pytest.raises(DivergenceError) as info:
+            meta_step(theta, task_batch(tasks), cfg)
+        assert str(info.value) == late_msg.replace("task 0", "task 1")
 
     def test_tracked_errors_before_a_later_estimate_failure(self):
         # binom at L=1 fails for task 2 only; the order-K error cascade fails for task 1 as well
@@ -596,19 +599,19 @@ class TestStackedDivergence:
                               track_errors=True)
         early, late = _line_task(1 + 1e160, 1e200), _line_task(1 + 1e160, 1.0)
         theta = np.array([0.0, 1.0])
-        late_msg = _alone([late], cfg, theta)
+        late_msg = _alone(task_batch([late]), cfg, theta)
         assert "cascade stage 1," in late_msg
         with pytest.raises(DivergenceError) as info:
-            meta_step(theta, [_line_task(0.0, 1.0), late, early], cfg)
+            meta_step(theta, task_batch([_line_task(0.0, 1.0), late, early]), cfg)
         assert str(info.value) == late_msg.replace("task 0", "task 1")
 
     def test_error_experiment_names_batch_and_task(self, monkeypatch):
         cfg = MetaTrainConfig(alpha=1.0, K=4, meta_batch=3, dim=2)
         tasks = [_line_task(0.0, 1.0), _line_task(1 + 1e160, 1.0), _line_task(1 + 1e160, 1e200)]
-        monkeypatch.setattr("metagrad.metatrain.sample_task_batch", lambda cfg, rng: TaskBatch.stack(tasks))
+        monkeypatch.setattr("metagrad.metatrain.sample_task_batch", lambda cfg, rng: task_batch(tasks))
         monkeypatch.setattr("metagrad.metatrain.initial_theta", lambda cfg, rng: np.array([0.0, 1.0]))
         with pytest.raises(DivergenceError, match=r"^batch 0, task 1: NaN/Inf at cascade stage 1, step k="):
-            run_error_experiment(cfg, [1, 4], 1)
+            run_error_experiment(cfg, 1)
 
     def test_imaml_breakdown_names_the_task(self):
         cfg = MetaTrainConfig(estimator=EstimatorConfig(kind="imaml", imaml_lambda=1.0), alpha=0.1, K=2,
@@ -616,7 +619,7 @@ class TestStackedDivergence:
         indefinite = TaskPair(QuadraticTask(np.diag([-5.0, 1.0]), np.zeros(2)), QuadraticTask(np.eye(2), np.ones(2)))
         tasks = [TaskPair(_zero_task(), _zero_task()), indefinite, indefinite]
         with pytest.raises(CGBreakdownError, match=r"^task 1: non-positive curvature"):
-            meta_step(np.ones(2), tasks, cfg)
+            meta_step(np.ones(2), task_batch(tasks), cfg)
 
     def test_imaml_breakdown_before_a_later_non_finite_map_output(self):
         # task 1's map output overflows in CG iteration 1; task 0 breaks down only in iteration 2
@@ -626,9 +629,9 @@ class TestStackedDivergence:
                         QuadraticTask(np.zeros((2, 2)), np.array([1.0, 0.1])))
         huge = TaskPair(QuadraticTask(1e308 * np.eye(2), np.zeros(2)), QuadraticTask(np.zeros((2, 2)), np.full(2, 10.0)))
         with pytest.raises(ValueError, match=r"^vector contains NaN or Inf$"):
-            meta_step(np.zeros(2), [_line_task(0.0, 1.0), huge], cfg)
+            meta_step(np.zeros(2), task_batch([_line_task(0.0, 1.0), huge]), cfg)
         with pytest.raises(CGBreakdownError, match=r"^task 0: non-positive curvature"):
-            meta_step(np.zeros(2), [late, huge], cfg)
+            meta_step(np.zeros(2), task_batch([late, huge]), cfg)
 
     def test_meta_gradient_check_rejects_a_non_finite_row(self):
         with pytest.raises(DivergenceError, match=r"^fo estimate contains NaN/Inf$"):

@@ -8,9 +8,8 @@ from metagrad import (
     QuadraticTask,
     mlp_init,
     sharpness_sequence,
-    stack_objectives,
 )
-from conftest import dense_hessian, random_logistic, random_quadratic, sample_sinusoid_batch
+from conftest import dense_hessian, random_logistic, random_quadratic, sample_sinusoid_batch, stack_objectives
 
 
 def hvp_finite_difference(obj, phi, v) -> np.ndarray:

@@ -37,6 +37,8 @@ NON_FINITE = [
     ["metatrain", "--alpha", "nan", "--iters", "1"],
     ["metatrain", "--estimator", "imaml", "--lambda", "nan", "--iters", "1"],
     ["metatrain", "--estimator", "imaml", "--lambda", "inf", "--iters", "1"],
+    ["bounds", "--alpha", "nan"],
+    ["metatrain", "--H", "inf", "--iters", "1"],
 ]
 
 
