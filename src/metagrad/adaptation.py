@@ -1,11 +1,11 @@
 """Inner-loop gradient descent and trajectory recording.
 
 Adaptation runs phi^{k+1} = phi^k - alpha * grad(phi^k) from phi^0 = theta and
-records every iterate. Tasks are independent: for B stacked tasks phi is B x d,
-each step one gradient call, row t bit for bit task t's run. The first NaN/Inf
-in any row raises at once, naming the step; naming the task is left to
-``metatrain``, which replays a failed stack task by task. Finished trajectories
-are immutable.
+records every iterate in one read-only (K+1)-row array. Tasks are independent:
+for B stacked tasks phi is B x d, each step one gradient call, row t bit for bit
+task t's run. The first NaN/Inf in any row raises at once, naming the step;
+naming the task is left to ``metatrain``, which replays a failed stack task by
+task. Finished trajectories are immutable.
 """
 
 from dataclasses import dataclass
@@ -25,13 +25,13 @@ class DivergenceError(RuntimeError):
 class Trajectory:
     """A recorded K-step descent path for one task, or for B stacked tasks.
 
-    ``iterates`` holds phi^0..phi^K, each (d,) or B x d. HVPs are replayed on
-    demand through :meth:`hvp_stage` (one product per iterate of a run of consecutive steps),
-    either via the backing objective or via a prescribed per-step Hessian
-    sequence; :meth:`hvp` is its one-product case.
+    ``iterates`` is one read-only array of phi^0..phi^K, (K+1) x d or (K+1) x B x d.
+    HVPs are replayed on demand through :meth:`hvp_stage` (one product per iterate
+    of a run of consecutive steps, a view of ``iterates``), either via the backing
+    objective or via a prescribed per-step Hessian sequence; :meth:`hvp` is its one-product case.
     """
 
-    iterates: tuple
+    iterates: np.ndarray
     alpha: float
     objective: Optional[TaskObjective] = None
     step_hessians: Optional[tuple] = None
@@ -42,7 +42,7 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.iterates[0].shape[-1]
+        return self.iterates.shape[-1]
 
     @property
     def final(self) -> np.ndarray:
@@ -50,10 +50,10 @@ class Trajectory:
 
     def hvp(self, k: int, v: np.ndarray) -> np.ndarray:
         """Hessian-vector product of the training loss at iterate k."""
-        return self.hvp_stage(k, [v])[0]
+        return self.hvp_stage(k, v[None])[0]
 
-    def hvp_stage(self, lo: int, vs):
-        """Hessian at iterate lo + j applied to vs[j], for every j, as one call."""
+    def hvp_stage(self, lo: int, vs: np.ndarray):
+        """Hessian at iterate lo + j applied to row vs[j], for every j, as one call."""
         hi = lo + len(vs)
         if not 0 <= lo <= hi <= self.K:
             raise IndexError(f"step indices {lo}..{hi - 1} outside [0, {self.K})")
@@ -71,20 +71,20 @@ def gd_adapt(obj: TaskObjective, theta, alpha: float, K: int) -> Trajectory:
     phi = as_vectors(theta)
     if phi.shape[-1] != obj.dim:
         raise ValueError(f"theta has dimension {phi.shape[-1]}, objective expects {obj.dim}")
-    iterates = [phi]
+    iterates = np.empty((K + 1,) + phi.shape)
+    iterates[0] = phi
     for k in range(K):
         try:
-            g = obj.gradient(phi)
+            g = obj.gradient(iterates[k])
         except ValueError as exc:
             raise DivergenceError(f"gradient evaluation failed at step {k}: {exc}") from exc
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = phi - alpha * g
-        if not np.isfinite(nxt).all():  # a NaN/Inf gradient always leaves one in the iterate
+            np.subtract(iterates[k], alpha * g, out=iterates[k + 1])
+        if not np.isfinite(iterates[k + 1]).all():  # a NaN/Inf gradient always leaves one in the iterate
             what = "training gradient" if not np.isfinite(g).all() else "iterate"
             raise DivergenceError(f"{what} diverged (NaN/Inf) at step {k}")
-        phi = nxt
-        iterates.append(phi)
-    return Trajectory(iterates=tuple(iterates), alpha=float(alpha), objective=obj)
+    iterates.flags.writeable = False
+    return Trajectory(iterates=iterates, alpha=float(alpha), objective=obj)
 
 
 def validation_gradient(val_obj: TaskObjective, traj: Trajectory) -> np.ndarray:
@@ -107,7 +107,7 @@ def from_hessian_sequence(seq: PrescribedHessianSequence, alpha: float) -> Traje
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    zero = np.zeros(seq.dim)
-    iterates = tuple(zero for _ in range(seq.steps + 1))
+    iterates = np.zeros((seq.steps + 1, seq.dim))
+    iterates.flags.writeable = False
     return Trajectory(iterates=iterates, alpha=float(alpha), step_hessians=seq.hessians)
 

@@ -155,7 +155,9 @@ def bound_sweep(theorem: int, bi: BoundInputs) -> List[SweepRow]:
     if theorem not in (2, 3, 4):
         raise ValueError(f"theorem selector must be 2, 3, or 4, got {theorem}")
     if theorem == 4:
-        bounds_strongcvx(replace(bi, L=bi.M))  # alpha*H <= 1 and h <= H for every row, and M <= K-M
+        if bi.M > bi.K - bi.M:  # before the L = M row, which would blame an L the caller never gave
+            raise ValueError(f"need M <= K-M, got M={bi.M}, K={bi.K}")
+        bounds_strongcvx(replace(bi, L=bi.M))  # alpha*H <= 1 and h <= H for every row
     formula = {2: bounds_smooth, 3: bounds_convex, 4: _strongcvx_values}[theorem]
 
     rows = []

@@ -152,10 +152,10 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
     returns ({L: w[L, first]} for every listed L, edge, CostCounters). Stage l
     holds the window w[l, first+m-l .. first+C-l], m being the smallest listed
     order >= l, so after stage m the entries no higher order needs drop off
-    the left; for one order L every window is C-L+1 wide. A stage's HVPs
-    depend only on stage l-1, so they go to ``hvp_stage(lo, vs)`` as one call
-    (the Hessian at step lo + j applied to vs[j]), and the running sums fill
-    the window in descending k.
+    the left; for one order L every window is C-L+1 wide. Each window is one
+    array (g broadcast before stage 1). A stage's HVPs depend only on stage l-1,
+    so they go to ``hvp_stage(lo, vs)`` as one call (the Hessian at step lo + j
+    applied to vs[j]), and the running sums fill a new window in descending k.
 
     The right edge w[l, first+C-l] is the product of the last l factors, so
     ``edge`` is [g, P_1 g, ..., P_top g], every truncated product; at L = C
@@ -167,7 +167,7 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
     costs are counted from the calls made: the vectors sent (width x rows per
     call), the calls, and the widest window sent (times rows).
     """
-    v = [g] * (C + 1)
+    v = np.broadcast_to(g, (C + 1,) + g.shape)
     estimates, edge, sent = {}, [g], []
     for m in orders:
         width = C - m + 1
@@ -176,11 +176,10 @@ def _cascade(hvp_stage, first: int, C: int, orders, alpha: float, g: np.ndarray)
             lo = first + m - l
             u = hvp_stage(lo, v)
             sent.append(width)
-            nxt = [None] * width
+            nxt = np.empty(v.shape)
             run = v[-1]
             for j in range(width - 1, -1, -1):
-                run = run - alpha * u[j]
-                nxt[j] = run
+                run = np.subtract(run, alpha * u[j], out=nxt[j])
             if not np.isfinite(run).all():
                 k = max(j for j in range(width) if not np.isfinite(nxt[j]).all())
                 raise DivergenceError(f"NaN/Inf at cascade stage {l - 1}, step k={lo + k}")

@@ -3,15 +3,15 @@
 A task objective exposes ``value``, ``gradient`` and ``linearize``:
 ``linearize(phi)`` returns the HVP operator at phi, which computes what depends
 on phi alone once for every direction it is applied to (imaml's CG applies one
-per live set of tasks). ``hvp(phi, v)`` is ``linearize(phi)(v)``; it takes one
-(point, direction) pair, B x d stacks of them, or a cascade stage (what
-``Trajectory.hvp_stage`` sends: width entries, each a (d,) iterate or a B x d
-stack, with as many directions). Each family's constructor takes one task's data
-or B tasks' data on a leading axis (A as B x d x d, X as B x d x n, sine data as
-B x n) and validates it once. A stacked objective's methods take B x d points,
-task t's result bit for bit in row t, and ``take_rows`` keeps a subset of the
-rows (one task's objective for an int). The sine regressor serves a stage of
-B x d entries entry by entry, each straight into its rows with no stacked copy.
+per live set of tasks). ``hvp(phi, v)`` is ``linearize(phi)(v)``; phi and v are
+arrays of one shape, (d,) or with leading axes, such as a cascade stage's
+width x B x d view of the trajectory and its window. Each family's constructor
+takes one task's data or B tasks' data on a leading axis (A as B x d x d, X as
+B x d x n, sine data as B x n) and validates it once. A stacked objective's
+methods take B x d points, task t's result bit for bit in row t, and
+``take_rows`` keeps a subset of the rows (one task's objective for an int). The
+sine regressor serves a width x B x d stage entry by entry, each straight into
+its rows with no stacked copy.
 Families:
 
 * :class:`QuadraticTask` -- closed-form constant-Hessian oracle family.
@@ -40,12 +40,9 @@ class TaskObjective(abc.ABC):
 
     A family implements ``linearize(phi)``, the HVP operator at phi: it computes
     what depends on phi alone once, for every direction it is applied to.
-    ``hvp(phi, v)`` is ``linearize(phi)(v)``. phi and v are one point and one
-    direction, each of shape (d,), or B x d stacks of both, with H(phi[j]) v[j] in
-    row j; every row equals the single-pair product bit for bit (phi and v of two
-    shapes raise ``ValueError``). They may also be a stage, as
-    ``Trajectory.hvp_stage`` sends it: width iterates phi[j] and directions v[j],
-    each (d,) or B x d, with H(phi[j]) v[j] in entry j.
+    ``hvp(phi, v)`` is ``linearize(phi)(v)``. phi and v are arrays of one shape, (d,)
+    or with leading axes (a B x d stack, a width x B x d stage), with H(phi[i]) v[i]
+    in row i, bit for bit the single-pair product (two shapes raise ``ValueError``).
     """
 
     dim: int
@@ -197,11 +194,10 @@ class MlpObjective(TaskObjective):
     ``linearize(theta)`` runs the forward pass and every R-op term that depends
     on theta alone once; its operator runs the half that depends on v, so imaml's
     CG pays the first half once per live set of tasks. On stacks every R-op array
-    has a leading batch axis. A cascade stage of B x d entries goes B rows at a
-    time, each entry's products straight into its row of the result with no
-    stacked copy (a dozen temporaries per row cost memory, and wider calls run no
-    faster); a single task's stage of (d,) entries is one call on its rows. Each
-    row is bit for bit the single-pair product.
+    has a leading batch axis. ``hvp`` serves a width x B x d stage B rows at a time,
+    each entry straight into its rows of the result (a dozen temporaries per row
+    cost memory, and wider calls run no faster); a width x d stage is one call.
+    Each row is bit for bit the single-pair product.
     """
 
     def __init__(self, x, y):
@@ -250,12 +246,11 @@ class MlpObjective(TaskObjective):
         return np.concatenate(blocks, axis=-1)
 
     def hvp(self, theta, v) -> np.ndarray:
-        if (isinstance(theta, np.ndarray) and theta.ndim < 3) or np.ndim(theta[0]) != 2:
-            return self.linearize(theta)(v)  # a pair, a B x d stack, or a stage of (d,) entries stacked
-        # a stage of B x d entries (a sequence or a width x B x d array): entry j goes straight into row j
-        if len(theta) != len(v):
-            raise ValueError(f"hvp takes phi and v of one shape, got stages of {len(theta)} and {len(v)}")
-        out = np.empty((len(v),) + np.shape(v[0]))
+        if np.ndim(theta) != 3:
+            return self.linearize(theta)(v)  # a pair or a stack of them, one call
+        if np.shape(theta) != np.shape(v):
+            raise ValueError(f"hvp takes phi and v of one shape, got {np.shape(theta)} and {np.shape(v)}")
+        out = np.empty(np.shape(v))
         for j in range(len(v)):
             self.linearize(theta[j])(v[j], out=out[j])
         return out
@@ -329,6 +324,8 @@ def sharpness_sequence(kind: str, K: int, L: int, H: float, d: int) -> Prescribe
       * "theorem3-pos":   H^k = +H I for every step
       * "theorem3-trunc": H^k = +H I for k < K - L, zero for the last L steps
     """
+    if K < 0:
+        raise ValueError("K must be >= 0")
     if H <= 0:
         raise ValueError("H must be positive")
     if not 0 <= L <= K:

@@ -107,11 +107,13 @@ def reference_task_batch(cfg, rng):
 
 @pytest.fixture
 def stage_sizes(monkeypatch):
-    """The number of vectors sent in each ``Trajectory.hvp_stage`` call, in call order."""
+    """The number of vectors sent in each ``Trajectory.hvp_stage`` call, in call order;
+    every call must send its vectors as one window array."""
     sent = []
     stage = Trajectory.hvp_stage
 
     def counting(self, lo, vs):
+        assert type(vs) is np.ndarray, f"a stage sends one window array, not a {type(vs).__name__}"
         sent.append(len(vs))
         return stage(self, lo, vs)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_quadratic, sample_sinusoid_batch
+from conftest import random_quadratic, sample_sinusoid_batch, stack_objectives
 from metagrad import (
     DivergenceError,
     QuadraticTask,
@@ -38,6 +38,19 @@ class TestGdAdapt:
         assert np.allclose(traj.iterates[1], [0.5, 0.5], atol=0)
         assert np.allclose(traj.iterates[2], [0.25, 0.25], atol=0)
         assert traj.K == 2
+
+    def test_iterates_are_one_read_only_array(self):
+        # phi^0..phi^K in one (K+1)-row array, its own copy of theta, which nothing can write to
+        rng = np.random.default_rng(9)
+        tasks = [random_quadratic(rng, 3) for _ in range(2)]
+        for obj, theta in ((tasks[0], rng.standard_normal(3)), (stack_objectives(tasks), rng.standard_normal((2, 3)))):
+            traj = gd_adapt(obj, theta, 0.2, 4)
+            assert type(traj.iterates) is np.ndarray and traj.iterates.shape == (5,) + theta.shape
+            assert not np.shares_memory(traj.iterates, theta)
+            with pytest.raises(ValueError, match="read-only"):
+                traj.iterates[1] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                traj.final[..., 0] = 0.0
 
     def test_alpha_must_be_positive(self):
         task = QuadraticTask(np.eye(2), np.zeros(2))
@@ -122,6 +135,11 @@ class TestPrescribedTrajectory:
         v = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(traj.hvp(2, v), -2.0 * v)
 
+    def test_iterates_are_one_read_only_array(self):
+        traj = from_hessian_sequence(sharpness_sequence("theorem3-pos", K=3, L=0, H=1.0, d=2), 0.5)
+        assert type(traj.iterates) is np.ndarray and traj.iterates.shape == (4, 2)
+        assert not traj.iterates.flags.writeable and not traj.iterates.any()
+
     def test_step_index_bounds(self):
         seq = sharpness_sequence("theorem3-pos", K=2, L=0, H=1.0, d=1)
         traj = from_hessian_sequence(seq, 0.5)
@@ -131,7 +149,7 @@ class TestPrescribedTrajectory:
     def test_stage_applies_step_hessians_in_order(self):
         seq = sharpness_sequence("theorem3-trunc", K=4, L=2, H=3.0, d=2)
         traj = from_hessian_sequence(seq, alpha=0.1)
-        vs = [np.array([1.0, 2.0]), np.array([-1.0, 0.5]), np.array([4.0, 4.0])]
+        vs = np.array([[1.0, 2.0], [-1.0, 0.5], [4.0, 4.0]])
         rows = traj.hvp_stage(1, vs)
         assert [r.tolist() for r in rows] == [[3.0, 6.0], [0.0, 0.0], [0.0, 0.0]]
         for k, (v, row) in enumerate(zip(vs, rows), start=1):

@@ -282,6 +282,13 @@ class TestSweep:
         with pytest.raises(ValueError, match=match):
             bound_sweep(4, bi)
 
+    @pytest.mark.parametrize("K, M", [(0, 1), (1, 1), (3, 2)], ids=["K0-M1", "K1-M1", "K3-M2"])
+    def test_strongcvx_m_past_half_k_names_m_and_k(self, K, M):
+        # the sweep's caller gives no L, so the error names only M and K
+        bi = BoundInputs(K=K, L=0, alpha=0.25, H=1.0, h=0.1, M=M)
+        with pytest.raises(ValueError, match=rf"^need M <= K-M, got M={M}, K={K}$"):
+            bound_sweep(4, bi)
+
     def test_bad_selector(self):
         with pytest.raises(ValueError):
             bound_sweep(5, BoundInputs(L=0, **FIG_PARAMS))

@@ -83,6 +83,18 @@ class TestBounds:
         assert err.startswith("metagrad: error: ") and err.count("\n") == 1 and condition in err
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.txt"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--K", "0"], "M=1, K=0"), (["--K", "1"], "M=1, K=1"), (["--K", "3", "--M", "2"], "M=2, K=3"),
+    ], ids=["K0", "K1", "K3-M2"])
+    def test_m_past_half_k_names_only_m_and_k(self, tmp_path, capsys, argv, named):
+        # bounds takes no L, so regime 4's constraint error names only the M and K it was given
+        out = tmp_path / "x"
+        assert main(["bounds", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("metagrad: error: ") and err.count("\n") == 1
+        assert named in err and "L=" not in err
+        assert not (out / "bounds.csv").exists()
+
     @pytest.mark.parametrize("argv, field", [
         (["--alpha", "nan"], "alpha"),
         (["--theorem", "2", "--H", "inf"], "H"),
@@ -343,6 +355,14 @@ class TestCost:
         assert (rows[("full", "5")]["hvp_total"], rows[("full", "5")]["sequential_depth"]) == ("5", "5")
         assert rows[("full", "5")]["peak_live_vectors"] == "1"
         assert [rows[("binom", "0")][c] for c in ("hvp_total", "sequential_depth", "peak_live_vectors")] == ["0", "0", "0"]
+
+    def test_negative_k_exits_one_naming_k(self, tmp_path, capsys):
+        # cost takes no L, so the error names only K
+        out = tmp_path / "x"
+        assert main(["cost", "--K", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "metagrad: error: K must be >= 0\n"
+        assert not (out / "cost.csv").exists()
 
 
 @pytest.mark.parametrize("command, keys", [

@@ -23,8 +23,10 @@ from metagrad import (
     DivergenceError,
     EstimatorConfig,
     LogisticTask,
+    MetaTrainConfig,
     MlpObjective,
     QuadraticTask,
+    TaskObjective,
     Trajectory,
     binom_meta_gradient,
     binom_oracle,
@@ -39,11 +41,13 @@ from metagrad import (
     mlp_init,
     random_spd,
     reptile_direction,
+    sample_task_batch,
     sharpness_sequence,
     trunc_meta_gradient,
     validation_gradient,
 )
 from metagrad.estimators import _cascade, _expansion
+from metagrad.metatrain import _adapt, initial_theta
 
 
 def rel_err(a, b):
@@ -82,7 +86,7 @@ class TestFull:
     def test_nan_abort_names_step(self):
         huge = np.array([[1e208]])
         traj = Trajectory(
-            iterates=tuple(np.zeros(1) for _ in range(3)),
+            iterates=np.zeros((3, 1)),
             alpha=1e200,
             step_hessians=(huge, huge),
         )
@@ -234,7 +238,7 @@ class TestBinom:
     def test_nan_abort_names_stage(self):
         huge = np.array([[1e208]])
         traj = Trajectory(
-            iterates=tuple(np.zeros(1) for _ in range(3)),
+            iterates=np.zeros((3, 1)),
             alpha=1e200,
             step_hessians=(huge, huge),
         )
@@ -356,7 +360,7 @@ class TestBinomTrunc:
         # window steps 1..2; only step 2 overflows, so the report names step 2, not window index 1
         flat, huge = np.zeros((1, 1)), np.array([[1e208]])
         traj = Trajectory(
-            iterates=tuple(np.zeros(1) for _ in range(4)),
+            iterates=np.zeros((4, 1)),
             alpha=1e200,
             step_hessians=(flat, flat, huge),
         )
@@ -462,7 +466,7 @@ class TestStackedImaml:
 
     def test_estimate_dispatches_a_stacked_trajectory(self):
         train, phi, g, lam = _imaml_batch("logistic", np.random.default_rng(29))
-        traj = Trajectory(iterates=(phi, phi), alpha=0.25, objective=stack_objectives(train))
+        traj = Trajectory(iterates=np.array([phi, phi]), alpha=0.25, objective=stack_objectives(train))
         got = estimate(traj, g, EstimatorConfig(kind="imaml", imaml_lambda=lam))
         assert np.array_equal(got.estimate, imaml_meta_gradient(traj.objective, phi, g, lam).estimate)
 
@@ -562,6 +566,22 @@ class TestCascadeStructure:
                     assert len(edge) == orders[-1] + 1
                     for l, product in enumerate(edge):
                         assert np.array_equal(product, trunc_meta_gradient(traj, g, l).estimate)
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "sinusoid"])
+    def test_stage_hands_the_objective_views(self, monkeypatch, family):
+        # a stage's iterates are a view of the trajectory's one array and its directions one window
+        # array; quadratic and logistic stages pass through TaskObjective.hvp, the sine one through its own
+        cfg = MetaTrainConfig(family=family, K=4, meta_batch=3, alpha=1e-3 if family == "sinusoid" else 0.25)
+        rng = np.random.default_rng(43)
+        traj, g = _adapt(sample_task_batch(cfg, rng), initial_theta(cfg, rng), cfg)
+        owner = MlpObjective if family == "sinusoid" else TaskObjective
+        hvp, calls = owner.hvp, []
+        monkeypatch.setattr(owner, "hvp", lambda self, phi, v: calls.append((phi, v)) or hvp(self, phi, v))
+        binom_meta_gradient(traj, g, 2)
+        assert len(calls) == 2
+        for phi, v in calls:
+            assert type(phi) is type(v) is np.ndarray and phi.shape == v.shape == (3, 3, traj.dim)
+            assert np.shares_memory(phi, traj.iterates)
 
     def test_multi_order_costs_are_counted_windows(self, stage_sizes):
         # stage l sends the C-m+1 columns that orders >= m still need, m the next listed order

@@ -353,7 +353,7 @@ class TestEstimatorErrors:
         # only step 2 overflows; the triangle reaches it in its first stage
         flat, huge = np.zeros((1, 1)), np.array([[1e208]])
         traj = Trajectory(
-            iterates=tuple(np.zeros(1) for _ in range(5)),
+            iterates=np.zeros((5, 1)),
             alpha=1e200,
             step_hessians=(flat, flat, huge, flat),
         )

@@ -9,6 +9,7 @@ from metagrad import (
     mlp_init,
     sharpness_sequence,
 )
+from metagrad.objectives import SHARPNESS_KINDS
 from conftest import dense_hessian, random_logistic, random_quadratic, sample_sinusoid_batch, stack_objectives
 
 
@@ -162,8 +163,9 @@ class TestHvpContract:
             for phi, v, row in zip(phis, vs, rows):
                 assert np.array_equal(row, obj.hvp(phi, v))
             assert np.array_equal(rows[B // 2], np.zeros(obj.dim))
-            # a stage passes its iterates as a tuple and its vectors as a list
-            assert np.array_equal(obj.hvp(tuple(phis), list(vs)), rows)
+            # a stage passes read-only views of the trajectory's iterates
+            phis.flags.writeable = False
+            assert np.array_equal(obj.hvp(phis, vs), rows)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_mismatched_shapes_rejected(self, family):
@@ -216,9 +218,9 @@ class TestStackedObjectives:
             for t, obj in enumerate(objs):
                 assert np.array_equal(values[t], obj.value(phis[t]))
                 assert np.array_equal(grads[t], obj.gradient(phis[t]))
-            # a cascade stage sends a tuple of B x d iterates and a list of B x d vectors
-            stage = tuple(phis + 0.01 * rng.standard_normal(phis.shape) for _ in range(3))
-            vs = [rng.standard_normal(phis.shape) for _ in range(3)]
+            # a cascade stage sends width x B x d arrays of iterates and vectors
+            stage = np.array([phis + 0.01 * rng.standard_normal(phis.shape) for _ in range(3)])
+            vs = np.array([rng.standard_normal(phis.shape) for _ in range(3)])
             rows = stacked.hvp(stage, vs)
             assert rows.shape == (3, B, stacked.dim)
             for j in range(3):
@@ -228,7 +230,8 @@ class TestStackedObjectives:
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["sequence", "array"])
     def test_mlp_stage_served_entry_by_entry(self, monkeypatch, as_array):
-        # a stage goes one B x d entry at a time, straight into its row, equal to the per-pair products
+        # a width x B x d stage (or a sequence numpy reads as one) goes one B x d entry at a time,
+        # straight into its row, equal to the per-pair products
         rng = np.random.default_rng(40)
         pairs = [_objective_and_point("mlp", rng) for _ in range(4)]
         stacked = stack_objectives([obj for obj, _ in pairs])
@@ -374,6 +377,12 @@ class TestSharpnessSequences:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             sharpness_sequence("nope", K=2, L=0, H=1.0, d=1)
+
+    @pytest.mark.parametrize("kind", SHARPNESS_KINDS)
+    def test_negative_k_rejected_first(self, kind):
+        # before the L check, which would blame an L the caller may not have given
+        with pytest.raises(ValueError, match="^K must be >= 0$"):
+            sharpness_sequence(kind, K=-1, L=0, H=1.0, d=1)
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(ValueError, match="d must be >= 1"):

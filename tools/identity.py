@@ -41,6 +41,12 @@ NON_FINITE = [
     ["metatrain", "--H", "inf", "--iters", "1"],
 ]
 
+# commands that take no L exit 1 naming only the inputs they were given
+CONSTRAINT = [
+    ["bounds", "--K", "1"],
+    ["cost", "--K", "-1"],
+]
+
 
 # a second run into the out/ of a first, longer one: every file it writes is shorter
 RERUNS = [
@@ -68,7 +74,7 @@ def matrix():
         runs += [sweep + ["--K", "10"], sweep + ["--K", "1"], sweep + ["--K", "5"],
                  sweep + ["--K", "5", "--rescale-alpha"], sweep + ["--K", "10", "--rescale-alpha"]]
     runs += [["bounds"], ["bounds", "--theorem", "4"], ["cost"], ["cost", "--K", "8"]]
-    return [(argv,) for argv in runs + OVERFLOW + NON_FINITE] + RERUNS
+    return [(argv,) for argv in runs + OVERFLOW + NON_FINITE + CONSTRAINT] + RERUNS
 
 
 def export(rev: str, dest: Path):
