@@ -34,7 +34,6 @@ from .estimators import (
     fo_meta_gradient,
     full_meta_gradient,
     imaml_meta_gradient,
-    reptile_direction,
     trunc_meta_gradient,
 )
 from .linalg import (

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import as_vectors
-from .objectives import PrescribedHessianSequence, TaskObjective
+from .objectives import PrescribedHessianSequence, TaskObjective, _matvec
 
 
 class DivergenceError(RuntimeError):
@@ -28,13 +28,14 @@ class Trajectory:
     ``iterates`` is one read-only array of phi^0..phi^K, (K+1) x d or (K+1) x B x d.
     HVPs are replayed on demand through :meth:`hvp_stage` (one product per iterate
     of a run of consecutive steps, a view of ``iterates``), either via the backing
-    objective or via a prescribed per-step Hessian sequence; :meth:`hvp` is its one-product case.
+    objective or via ``step_hessians``, a prescribed (K, d, d) Hessian stack;
+    :meth:`hvp` is its one-product case.
     """
 
     iterates: np.ndarray
     alpha: float
     objective: Optional[TaskObjective] = None
-    step_hessians: Optional[tuple] = None
+    step_hessians: Optional[np.ndarray] = None
 
     @property
     def K(self) -> int:
@@ -52,13 +53,13 @@ class Trajectory:
         """Hessian-vector product of the training loss at iterate k."""
         return self.hvp_stage(k, v[None])[0]
 
-    def hvp_stage(self, lo: int, vs: np.ndarray):
-        """Hessian at iterate lo + j applied to row vs[j], for every j, as one call."""
+    def hvp_stage(self, lo: int, vs: np.ndarray) -> np.ndarray:
+        """Hessian at iterate lo + j applied to row vs[j], for every j, as one call and one array."""
         hi = lo + len(vs)
         if not 0 <= lo <= hi <= self.K:
             raise IndexError(f"step indices {lo}..{hi - 1} outside [0, {self.K})")
         if self.step_hessians is not None:
-            return [h @ v for h, v in zip(self.step_hessians[lo:hi], vs)]
+            return _matvec(self.step_hessians[lo:hi], vs)
         return self.objective.hvp(self.iterates[lo:hi], vs)
 
 

@@ -16,7 +16,8 @@ for HVP count in different ways:
   stages of K-L+1 mutually independent HVPs each (see ``_cascade``).
 * ``binom-trunc`` -- the expansion restricted to the last C steps.
 * ``imaml`` -- solves (I + H/lambda) x = g at the final iterate by CG.
-* ``reptile`` -- moves toward the mean adapted parameter; no HVPs at all.
+* ``reptile`` -- moves toward the mean adapted parameter; no HVPs at all, and
+  no function here: ``metatrain.meta_step`` applies it.
 
 There is one core, ``_cascade``: the expansion over the last C steps. Every
 HVP-based estimate except imaml is a point of it: ``full`` is (L, C) =
@@ -295,37 +296,33 @@ def imaml_meta_gradient(
     phi_final and g are (d,), or B x d with ``obj`` a stacked objective
     (B tasks): then one CG runs all B systems, each iteration one application of
     ``obj.linearize(phi_final)`` to the tasks still iterating (linearized again
-    only when one converges and leaves). The map must be SPD at phi_final (true whenever
-    the local Hessian is strictly above -lambda I); CG raises on non-positive
-    curvature. CG stops at ``cg_iters`` iterations, 10 * d when None;
-    non-convergence is reported through the returned counters and the
-    ``converged`` flag rather than aborting (``meta_step`` does not read it).
+    only when one converges and leaves). A (d,) input runs as a 1-row stack
+    and returns a (d,) estimate with a ``bool`` flag. The map must be SPD at
+    phi_final (true whenever the local Hessian is strictly above -lambda I);
+    CG raises on non-positive curvature. CG stops at ``cg_iters`` iterations,
+    10 * d when None; non-convergence is reported through the returned
+    counters and the ``converged`` flag rather than aborting (``meta_step``
+    does not read it).
     One HVP per task and CG iteration.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    phi_final = np.asarray(phi_final, dtype=float)
     g = np.asarray(g, dtype=float)
-    op, live = obj.linearize(phi_final), len(phi_final)  # rebuilt for the live tasks when one converges
+    phis, gs = np.atleast_2d(np.asarray(phi_final, dtype=float)), np.atleast_2d(g)
+    op, live = obj.linearize(phis), len(phis)  # rebuilt for the live tasks when one converges
 
-    def apply(v, rows=None):
+    def apply(v, rows):
         nonlocal op, live
-        if rows is not None and len(rows) != live:
-            op, live = take_rows(obj, rows).linearize(phi_final[rows]), len(rows)
+        if len(rows) != live:
+            op, live = take_rows(obj, rows).linearize(phis[rows]), len(rows)
         return v + op(v) / lam
 
-    result = conjugate_gradient(apply, g, tol=cg_tol, max_iters=cg_iters)
+    result = conjugate_gradient(apply, gs, tol=cg_tol, max_iters=cg_iters)
     # CG working set is four d-vectors per task (x, r, p, and the map output)
-    cost = CostCounters(int(np.sum(result.row_iterations)), result.iterations, 4 * (g.size // g.shape[-1]))
+    cost = CostCounters(int(np.sum(result.row_iterations)), result.iterations, 4 * len(gs))
+    if g.ndim == 1:
+        return MetaGradient(result.x[0], "imaml", cost, converged=bool(result.converged[0]))
     return MetaGradient(result.x, "imaml", cost, converged=result.converged)
-
-
-def reptile_direction(theta, finals) -> np.ndarray:
-    """Mean displacement (1/T) sum_t (phi_t^K - theta) over T x d finals; the caller applies eps."""
-    theta, finals = np.asarray(theta, dtype=float), np.asarray(finals, dtype=float)
-    if len(finals) == 0 or finals.shape[1:] != theta.shape:
-        raise ValueError(f"need T >= 1 adapted parameters of shape {theta.shape}, got {finals.shape}")
-    return sum(finals - theta) / len(finals)
 
 
 def estimation_error(estimate, exact) -> float:

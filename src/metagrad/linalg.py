@@ -4,9 +4,9 @@ Vectors are 1-D float64 numpy arrays, matrices 2-D; ``as_vectors`` also takes
 stacks of vectors (a task and/or a stage axis in front), ``as_matrix`` and
 ``is_symmetric`` a stack of matrices (a task axis in front). ``_dot`` is the per-row
 dot product of such stacks, bit for bit the 1-D ``p @ q``. The CG solver takes
-one system or a B x d stack of independent ones, each row solved bit for bit as
-if alone. Everything here is a pure function over immutable inputs, so values
-can be shared freely across threads.
+a B x d stack of independent systems (one system is a 1-row stack), each row
+solved bit for bit as if alone. Everything here is a pure function over
+immutable inputs, so values can be shared freely across threads.
 Dense storage only: the dimensions in play are small enough that correctness
 checks matter far more than throughput.
 """
@@ -61,51 +61,44 @@ def _dot(p, q):
 
 @dataclass(frozen=True)
 class CGResult:
-    """Outcome of a conjugate-gradient solve; the per-system fields are arrays for a stack."""
+    """Outcome of a conjugate-gradient solve of a B x d stack; per-system fields have one entry per row."""
 
-    x: np.ndarray       # best iterate found, one row per system
-    converged: bool     # per system: residual criterion met before max_iters
-    iterations: int     # applications of the linear map (the slowest system's iteration count)
-    residual: float     # per system: final ||apply(x) - b|| / ||b||
-    row_iterations: int  # per system: its own iteration count
+    x: np.ndarray               # best iterate found, B x d
+    converged: np.ndarray       # per system: residual criterion met before max_iters
+    iterations: int             # applications of the linear map (the slowest system's iteration count)
+    residual: np.ndarray        # per system: final ||apply(x) - b|| / ||b||
+    row_iterations: np.ndarray  # per system: its own iteration count
 
 
 def conjugate_gradient(
-    apply: Callable[..., np.ndarray],
+    apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     b,
     tol: float = 1e-10,
     max_iters: Optional[int] = None,
 ) -> CGResult:
     """Solve apply(x) = b for a symmetric positive-definite linear map.
 
-    ``b`` is one (d,) vector, with ``apply(p)`` the map, or a B x d stack of B
-    independent systems. For a stack, ``apply(P, rows)`` maps P[j] by system
-    rows[j]; a system leaves the stack once it converges, so P holds only the
-    live ones, and ``rows`` changes only when one leaves. Each row runs the
-    one-system iteration bit for bit (its scalars are per-row ``_dot``s).
+    ``b`` is a B x d stack of B independent systems (one system is a 1-row
+    stack), and ``apply(P, rows)`` maps P[j] by system rows[j]. A system leaves
+    the stack once it converges, so P holds only the live ones, and ``rows``
+    changes only when one leaves. Each row runs the one-system iteration bit
+    for bit (its scalars are per-row ``_dot``s).
 
     A system stops when ||apply(x) - b|| <= tol * ||b||; otherwise it returns
     its best iterate after max_iters with converged=False. A Rayleigh quotient
     p^T apply(p) <= 0 in any row raises CGBreakdownError, which signals that
     the map is not positive definite.
     """
-    b = _finite(b, (1, 2), "a vector or a B x d stack", "vector")
+    b = _finite(b, (2,), "a B x d stack", "vector")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if b.ndim == 1:
-        def step_map(p, rows):
-            return as_vector(apply(p[0]))[None]
-    else:
-        def step_map(p, rows):
-            return as_vectors(apply(p, rows))
-    bs = np.atleast_2d(b)
     if max_iters is None:
-        max_iters = 10 * bs.shape[1]
+        max_iters = 10 * b.shape[1]
 
-    x_out, rs_out = np.zeros(bs.shape), _dot(bs, bs)
-    iters = np.zeros(len(bs), dtype=int)
+    x_out, rs_out = np.zeros(b.shape), _dot(b, b)
+    iters = np.zeros(len(b), dtype=int)
     bnorm = np.sqrt(rs_out)
-    live, x, r, p, rs, stop = np.arange(len(bs)), x_out.copy(), bs.copy(), bs.copy(), rs_out.copy(), tol * bnorm
+    live, x, r, p, rs, stop = np.arange(len(b)), x_out.copy(), b.copy(), b.copy(), rs_out.copy(), tol * bnorm
     for it in range(max_iters + 1):
         done = (np.sqrt(rs) <= stop) | (it == max_iters)
         if done.any():  # retire the finished rows; the work arrays shrink only here
@@ -115,7 +108,7 @@ def conjugate_gradient(
             live, x, r, p, rs, stop = live[keep], x[keep], r[keep], p[keep], rs[keep], stop[keep]
         if not live.size:
             break
-        ap = step_map(p, live)
+        ap = as_vectors(apply(p, live))
         curvature = _dot(p, ap)
         bad = curvature <= 0.0
         if bad.any():
@@ -129,8 +122,5 @@ def conjugate_gradient(
         p = r + (rs_new / rs)[:, None] * p
         rs = rs_new
 
-    residual = np.divide(np.sqrt(rs_out), bnorm, out=np.zeros(len(bs)), where=bnorm > 0)
-    converged = residual <= tol
-    if b.ndim == 1:
-        return CGResult(x_out[0], bool(converged[0]), int(iters[0]), float(residual[0]), int(iters[0]))
-    return CGResult(x_out, converged, int(iters.max(initial=0)), residual, iters)
+    residual = np.divide(np.sqrt(rs_out), bnorm, out=np.zeros(len(b)), where=bnorm > 0)
+    return CGResult(x_out, residual <= tol, int(iters.max(initial=0)), residual, iters)

@@ -31,7 +31,6 @@ from .estimators import (
     _effective_alpha,
     estimate,
     estimation_error,
-    reptile_direction,
 )
 from .linalg import CGBreakdownError
 from .objectives import (
@@ -248,7 +247,7 @@ def meta_step(theta: np.ndarray, tasks: TaskBatch, cfg: MetaTrainConfig):
     meta_loss = float(np.mean(losses))
 
     if mg is None:
-        direction = reptile_direction(theta, finals)
+        direction = sum(finals - theta) / len(tasks)
         theta_next = theta + est.reptile_eps * direction
         grad_norm, hvp_total = float(np.linalg.norm(direction)), 0
     else:

@@ -285,14 +285,16 @@ class PrescribedHessianSequence:
     """A fixed per-step curvature sequence {H^k} plus a validation gradient g.
 
     Stands in for a recorded optimization path when only the Hessians matter,
-    e.g. when checking that an error bound is met with equality.
+    e.g. when checking that an error bound is met with equality. ``hessians``
+    is given as any sequence of d x d matrices and stored as one read-only
+    (K, d, d) array.
     """
 
-    hessians: tuple
+    hessians: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        hs = tuple(as_matrix(h) for h in self.hessians)
+        hs = [as_matrix(h) for h in self.hessians]
         g = as_vector(self.g)
         d = g.shape[0]
         for k, h in enumerate(hs):
@@ -300,7 +302,9 @@ class PrescribedHessianSequence:
                 raise ValueError(f"Hessian {k} has shape {h.shape}, expected {(d, d)}")
             if not is_symmetric(h):
                 raise ValueError(f"Hessian {k} is not symmetric")
-        object.__setattr__(self, "hessians", hs)
+        stack = np.array(hs).reshape(len(hs), d, d)  # the reshape gives K = 0 its (0, d, d) shape
+        stack.flags.writeable = False
+        object.__setattr__(self, "hessians", stack)
         object.__setattr__(self, "g", g)
 
     @property

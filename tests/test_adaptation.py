@@ -4,10 +4,12 @@ import pytest
 from conftest import random_quadratic, sample_sinusoid_batch, stack_objectives
 from metagrad import (
     DivergenceError,
+    PrescribedHessianSequence,
     QuadraticTask,
     from_hessian_sequence,
     gd_adapt,
     mlp_init,
+    random_spd,
     sharpness_sequence,
     validation_gradient,
 )
@@ -158,3 +160,16 @@ class TestPrescribedTrajectory:
             traj.hvp_stage(2, vs)
         with pytest.raises(IndexError):
             traj.hvp_stage(-1, vs[:1])
+        # the sequence is one read-only (K, d, d) array, and a stage is one array whose
+        # rows equal the one-matrix products h @ v bit for bit
+        for d in (1, 2, 3, 6, 20, 64):
+            rng = np.random.default_rng(d)
+            hs = [random_spd(rng, d, -1.0, 1.0) for _ in range(4)]
+            seq = PrescribedHessianSequence(hessians=hs, g=np.ones(d))
+            assert type(seq.hessians) is np.ndarray and seq.hessians.shape == (4, d, d)
+            assert not seq.hessians.flags.writeable
+            vs = rng.standard_normal((3, d))
+            stage = from_hessian_sequence(seq, alpha=0.1).hvp_stage(1, vs)
+            assert type(stage) is np.ndarray
+            for h, v, row in zip(hs[1:], vs, stage):
+                assert np.array_equal(row, h @ v), d

@@ -142,6 +142,21 @@ class TestErrorSweep:
         assert polyline_count(out / "error_vs_batch.svg") == 2
         assert polyline_count(out / "error_vs_L.svg") == 3
 
+    def test_truncation_beats_expansion_at_L1_for_K10(self, tmp_path):
+        # characterization at seed 0: at K=10 the order-1 expansion overshoots, and
+        # truncation wins at L=1; the expansion wins at every L from 2 to K-1
+        out = tmp_path / "run"
+        args = ["error-sweep", "--family", "quadratic", "--K", "10", "--batches", "10", "--seed", "0",
+                "--out", str(out)]
+        assert main(args) == 0
+        averaged = {int(r["L"]): (float(r["err_tr"]), float(r["err_bin"]))
+                    for r in read_csv(out / "errors_averaged.csv")}
+        tr, binom = averaged[1]
+        assert binom > tr
+        for L in range(2, 10):
+            tr, binom = averaged[L]
+            assert binom < tr, L
+
     def test_single_batch_files_match(self, tmp_path):
         out = tmp_path / "run"
         assert main(["error-sweep", "--batches", "1", "--K", "3", "--d", "3", "--out", str(out)]) == 0

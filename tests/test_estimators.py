@@ -40,7 +40,6 @@ from metagrad import (
     imaml_meta_gradient,
     mlp_init,
     random_spd,
-    reptile_direction,
     sample_task_batch,
     sharpness_sequence,
     trunc_meta_gradient,
@@ -88,7 +87,7 @@ class TestFull:
         traj = Trajectory(
             iterates=np.zeros((3, 1)),
             alpha=1e200,
-            step_hessians=(huge, huge),
+            step_hessians=np.array([huge, huge]),
         )
         with pytest.raises(DivergenceError, match="cascade stage 0, step k=1$"):
             full_meta_gradient(traj, np.ones(1))
@@ -240,7 +239,7 @@ class TestBinom:
         traj = Trajectory(
             iterates=np.zeros((3, 1)),
             alpha=1e200,
-            step_hessians=(huge, huge),
+            step_hessians=np.array([huge, huge]),
         )
         with pytest.raises(DivergenceError, match="cascade stage 0, step k=1$"):
             binom_meta_gradient(traj, np.ones(1), 2)
@@ -362,7 +361,7 @@ class TestBinomTrunc:
         traj = Trajectory(
             iterates=np.zeros((4, 1)),
             alpha=1e200,
-            step_hessians=(flat, flat, huge),
+            step_hessians=np.array([flat, flat, huge]),
         )
         with pytest.raises(DivergenceError, match="cascade stage 0, step k=2$"):
             binomtrunc_meta_gradient(traj, np.ones(1), 1, 2)
@@ -413,7 +412,8 @@ class TestImaml:
         a = random_spd(rng, 8, 0.5, 5.0)
         task = QuadraticTask(a, np.zeros(8))
         mg = imaml_meta_gradient(task, np.zeros(8), rng.standard_normal(8), 0.1, cg_tol=1e-15, cg_iters=1)
-        assert not mg.converged
+        assert mg.converged is False
+        assert mg.estimate.shape == (8,)
 
 
 def _imaml_batch(family, rng, batch=5):
@@ -474,25 +474,6 @@ class TestStackedImaml:
     def test_config_rejects_bad_cg_knobs(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
             EstimatorConfig(kind="imaml", **{field: value})
-
-
-class TestReptile:
-    def test_fixed_point(self):
-        theta = np.array([1.0, 2.0])
-        assert np.array_equal(reptile_direction(theta, [theta, theta.copy()]), [0.0, 0.0])
-
-    def test_single_displacement(self):
-        theta = np.zeros(2)
-        assert np.array_equal(reptile_direction(theta, [np.array([1.0, 0.0])]), [1.0, 0.0])
-
-    def test_hand_average(self):
-        theta = np.zeros(2)
-        finals = [np.array([2.0, 0.0]), np.array([0.0, 2.0])]
-        assert np.array_equal(reptile_direction(theta, finals), [1.0, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            reptile_direction(np.zeros(2), [])
 
 
 class TestEstimationError:

@@ -15,44 +15,55 @@ class TestSymmetry:
         assert is_symmetric(np.zeros((3, 3)))
 
 
+def _matrix_map(a):
+    """The map CG calls with (P, rows) when every system has the matrix a."""
+    return lambda p, rows: (a @ p[..., None])[..., 0]
+
+
 class TestConjugateGradient:
+    """One system, given as a 1-row stack."""
+
     def test_identity_map_one_iteration(self):
-        res = conjugate_gradient(lambda v: v, [5.0, -2.0])
-        assert res.converged
+        res = conjugate_gradient(lambda p, rows: p, [[5.0, -2.0]])
+        assert res.converged[0]
         assert res.iterations == 1
-        assert np.max(np.abs(res.x - [5.0, -2.0])) <= 1e-14
+        assert np.max(np.abs(res.x[0] - [5.0, -2.0])) <= 1e-14
 
     def test_diagonal_solve(self):
-        res = conjugate_gradient(lambda v: np.diag([2.0, 4.0]) @ v, [2.0, 4.0])
-        assert res.converged
-        assert np.max(np.abs(res.x - [1.0, 1.0])) <= 1e-12
+        res = conjugate_gradient(_matrix_map(np.diag([2.0, 4.0])), [[2.0, 4.0]])
+        assert res.converged[0]
+        assert np.max(np.abs(res.x[0] - [1.0, 1.0])) <= 1e-12
 
     def test_spd_matches_dense_solve_within_d_iterations(self):
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         a = q @ np.diag(rng.uniform(0.5, 3.0, 6)) @ q.T
         b = rng.standard_normal(6)
-        res = conjugate_gradient(lambda v: a @ v, b, tol=1e-12, max_iters=6)
+        res = conjugate_gradient(_matrix_map(a), b[None], tol=1e-12, max_iters=6)
         expected = np.linalg.solve(a, b)
         assert res.iterations <= 6
-        assert np.linalg.norm(res.x - expected) <= 1e-8 * np.linalg.norm(expected)
+        assert np.linalg.norm(res.x[0] - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_nonconvergence_flag(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((20, 20))
         a = a @ a.T + 1e-6 * np.eye(20)
-        res = conjugate_gradient(lambda v: a @ v, rng.standard_normal(20), tol=1e-14, max_iters=2)
-        assert not res.converged
+        res = conjugate_gradient(_matrix_map(a), rng.standard_normal((1, 20)), tol=1e-14, max_iters=2)
+        assert not res.converged[0]
         assert res.iterations == 2
         assert np.all(np.isfinite(res.x))
 
     def test_breakdown_on_indefinite_map(self):
         with pytest.raises(CGBreakdownError):
-            conjugate_gradient(lambda v: -v, [1.0, 2.0])
+            conjugate_gradient(lambda p, rows: -p, [[1.0, 2.0]])
 
     def test_zero_rhs(self):
-        res = conjugate_gradient(lambda v: v, [0.0, 0.0])
-        assert res.converged and res.iterations == 0
+        res = conjugate_gradient(lambda p, rows: p, [[0.0, 0.0]])
+        assert res.converged[0] and res.iterations == 0
+
+    def test_one_dimensional_rhs_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a B x d stack, got shape \(2,\)$"):
+            conjugate_gradient(lambda p, rows: p, [1.0, 2.0])
 
 
 def _spd_maps(rng, d, count):
@@ -66,7 +77,7 @@ def _spd_maps(rng, d, count):
 
 
 class TestStackedConjugateGradient:
-    """A B x d right-hand side solves B systems at once, each row bit for bit its own 1-D solve."""
+    """A B x d right-hand side solves B systems at once, each row bit for bit its own 1-row solve."""
 
     @pytest.mark.parametrize("d", [6, 40])
     def test_rows_equal_one_dimensional_solves(self, d):
@@ -75,10 +86,10 @@ class TestStackedConjugateGradient:
         mats[0], mats[3] = 2.0 * np.eye(d), np.diag(np.resize([1.0, 3.0], d))  # 1 and 2 distinct eigenvalues
         b = rng.standard_normal((5, d)) * np.array([1.0, 1e-3, 10.0, 1.0, 1e2])[:, None]
         res = conjugate_gradient(apply, b, tol=1e-12)
-        singles = [conjugate_gradient(lambda v, a=a: a @ v, row, tol=1e-12) for a, row in zip(mats, b)]
-        assert np.array_equal(res.x, [s.x for s in singles])
+        singles = [conjugate_gradient(_matrix_map(a), row[None], tol=1e-12) for a, row in zip(mats, b)]
+        assert np.array_equal(res.x, [s.x[0] for s in singles])
         assert res.row_iterations.tolist() == [s.iterations for s in singles]
-        assert res.residual.tolist() == [s.residual for s in singles]
+        assert res.residual.tolist() == [s.residual[0] for s in singles]
         assert res.converged.all() and res.iterations == max(s.iterations for s in singles)
         assert len(set(res.row_iterations.tolist())) > 1  # rows really leave at different times
 
@@ -118,4 +129,4 @@ class TestStackedConjugateGradient:
 
     def test_rejects_a_nan_tolerance(self):
         with pytest.raises(ValueError, match="tol must be positive"):
-            conjugate_gradient(lambda v: v, [1.0], tol=float("nan"))
+            conjugate_gradient(lambda p, rows: p, [[1.0]], tol=float("nan"))

@@ -355,7 +355,7 @@ class TestEstimatorErrors:
         traj = Trajectory(
             iterates=np.zeros((5, 1)),
             alpha=1e200,
-            step_hessians=(flat, flat, huge, flat),
+            step_hessians=np.array([flat, flat, huge, flat]),
         )
         for l_values in ([0, 1, 2, 3, 4], [1], [4]):
             for rescale in (False, True):

@@ -4,10 +4,11 @@ Usage: python tools/identity.py --base REV
 
 Exports REV with ``git archive`` into a temporary directory (``.git`` is left
 untouched), then runs one fixed matrix of cases on that tree and on this
-checkout's working tree. A case is one ``metagrad`` invocation, or a rerun
-pair: a second invocation into the ``out/`` the first one left, which checks
-that a rerun rewrites every file to a fresh run's bytes. Both runs of a case
-start in the same empty working directory and write to ``out/`` there.
+checkout's working tree. A case is one ``metagrad`` invocation, one run of a
+demo script from the tree's own ``demos/``, or a rerun pair: a second
+invocation into the ``out/`` the first one left, which checks that a rerun
+rewrites every file to a fresh run's bytes. Both runs of a case start in the
+same empty working directory; CLI invocations write to ``out/`` there.
 Compared per case: exit codes, stdout, stderr and every file written. Prints
 one summary line, then each differing case with what differs. Exits 0 when
 every case is identical, 1 otherwise.
@@ -48,6 +49,10 @@ CONSTRAINT = [
 ]
 
 
+# demo scripts, each run from the tree under test: the only cases that print values
+# computed on prescribed-curvature trajectories (cost prints only counts)
+DEMOS = [["demos/sharp_instances.py"]]
+
 # a second run into the out/ of a first, longer one: every file it writes is shorter
 RERUNS = [
     *((["error-sweep", "--family", family, "--batches", "3", "--K", "10"],
@@ -73,8 +78,19 @@ def matrix():
         sweep = ["error-sweep", "--family", family, "--batches", "3"]
         runs += [sweep + ["--K", "10"], sweep + ["--K", "1"], sweep + ["--K", "5"],
                  sweep + ["--K", "5", "--rescale-alpha"], sweep + ["--K", "10", "--rescale-alpha"]]
-    runs += [["bounds"], ["bounds", "--theorem", "4"], ["cost"], ["cost", "--K", "8"]]
-    return [(argv,) for argv in runs + OVERFLOW + NON_FINITE + CONSTRAINT] + RERUNS
+    runs += [["bounds"], ["bounds", "--theorem", "4"], ["cost"], ["cost", "--K", "0"], ["cost", "--K", "8"]]
+    return [(argv,) for argv in runs + DEMOS + OVERFLOW + NON_FINITE + CONSTRAINT] + RERUNS
+
+
+def command(src: Path, argv) -> list:
+    """The process to start for one invocation: a demo script of the tree at ``src``, or its CLI."""
+    if argv[0].endswith(".py"):
+        return [sys.executable, str(src.parent / argv[0]), *argv[1:]]
+    return [sys.executable, "-m", "metagrad.cli", *argv, "--out", "out"]
+
+
+def describe(argv) -> str:
+    return ("python " if argv[0].endswith(".py") else "metagrad ") + " ".join(argv)
 
 
 def export(rev: str, dest: Path):
@@ -90,8 +106,7 @@ def run(src: Path, case, work: Path) -> dict:
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = [subprocess.run([sys.executable, "-m", "metagrad.cli", *argv, "--out", "out"],
-                           cwd=work, env=env, capture_output=True) for argv in case]
+    done = [subprocess.run(command(src, argv), cwd=work, env=env, capture_output=True) for argv in case]
     files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
     return {"exit code": [d.returncode for d in done], "stdout": [d.stdout for d in done],
             "stderr": [d.stderr for d in done], "files": files}
@@ -116,7 +131,7 @@ def main():
     print(f"identity: {len(runs) - len(differing)} of {len(runs)} cases identical to {args.base}, "
           f"{len(differing)} differ")
     for case, what in differing:
-        print(f"  {', '.join(what)}: " + ", then ".join("metagrad " + " ".join(argv) for argv in case))
+        print(f"  {', '.join(what)}: " + ", then ".join(describe(argv) for argv in case))
     return 1 if differing else 0
 
 
