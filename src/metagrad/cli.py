@@ -185,7 +185,10 @@ def _echo_config(out_dir: Path, command: str, cfg: dict):
 
 
 def run_bounds(cfg: dict, out_dir: Path):
-    theorems = (2, 3, 4) if cfg["theorem"] == "all" else (int(cfg["theorem"]),)
+    try:
+        theorems = (2, 3, 4) if cfg["theorem"] == "all" else (int(cfg["theorem"]),)
+    except ValueError:  # a number outside 2..4 is bound_sweep's to reject
+        raise ValueError(f"theorem must be all, 2, 3 or 4, got {cfg['theorem']!r}") from None
     bi = BoundInputs(K=cfg["K"], L=0, alpha=cfg["alpha"], H=cfg["H"], h=cfg["h"], M=cfg["M"], g_norm=cfg["g_norm"])
     sweeps = {theorem: bound_sweep(theorem, bi) for theorem in theorems}  # every regime checked before a write
     for theorem, rows in sweeps.items():

@@ -25,11 +25,12 @@ HVP-based estimate except imaml is a point of it: ``full`` is (L, C) =
 (L, C). At L = C each stage is a single HVP, so the cascade is the
 right-to-left backprop loop. No term of the expansion depends on L, so one
 pass to order K holds every order's estimate on its left edge and the exact
-and every truncated product on its right edge; the error experiments read
-all of them off that one pass. Every cost is counted from the stage calls
-the cascade makes. ``binom_oracle`` enumerates the expansion tuple by tuple,
-with no stages and no stacking, and is the ground truth the cascade is tested
-against.
+and every truncated product on its right edge. ``estimator_errors``, the
+error experiments' reader, takes all of them from that one pass; an order
+whose alpha is rescaled runs binom's own pass. Every cost is counted from the
+stage calls the cascade makes. ``binom_oracle`` enumerates the expansion
+tuple by tuple, with no stages and no stacking, and is the ground truth the
+cascade is tested against.
 
 Every estimator is a pure function of (trajectory, g, parameters); both may be
 stacked over B tasks, giving a B x d estimate whose ``CostCounters`` cover the
@@ -333,6 +334,27 @@ def estimation_error(estimate, exact) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = a - b
     return np.sqrt(_dot(diff, diff))  # np.linalg.norm bit for bit; norm(axis=-1) is not
+
+
+def estimator_errors(traj: Trajectory, g, l_values, rescale_alpha: bool):
+    """[(e_fo, e_tr, e_bin) per L]: the first-order, truncated and expansion
+    estimates' errors against the exact product (per task of a stack). The
+    base-alpha pass to order K runs first: its right edge holds the exact and
+    every truncated product, its left edge each order at the base alpha. Every
+    other order (rescaled alpha) is binom's own pass, run once per distinct L."""
+    K = traj.K
+    for L in l_values:
+        _check_L(L, K)
+    g = np.asarray(g, dtype=float)
+    base = {L for L in l_values if _effective_alpha(traj, L, rescale_alpha) == traj.alpha}
+    estimates, products, _ = _cascade(traj.hvp_stage, 0, K, sorted(base | {K}), traj.alpha, g)
+    for L in l_values:
+        if L not in estimates:
+            estimates[L] = _expansion(traj, g, L, K, rescale_alpha)[0]
+    exact = products[K]
+    e_fo = estimation_error(g, exact)
+    return [(e_fo, estimation_error(products[L], exact), estimation_error(estimates[L], exact))
+            for L in l_values]
 
 
 def estimate(traj: Trajectory, g, cfg: EstimatorConfig) -> MetaGradient:

@@ -79,7 +79,8 @@ def conjugate_gradient(
     """Solve apply(x) = b for a symmetric positive-definite linear map.
 
     ``b`` is a B x d stack of B independent systems (one system is a 1-row
-    stack), and ``apply(P, rows)`` maps P[j] by system rows[j]. A system leaves
+    stack), and ``apply(P, rows)`` maps P[j] by system rows[j], returning P's
+    shape (any other shape raises ValueError). A system leaves
     the stack once it converges, so P holds only the live ones, and ``rows``
     changes only when one leaves. Each row runs the one-system iteration bit
     for bit (its scalars are per-row ``_dot``s).
@@ -109,6 +110,8 @@ def conjugate_gradient(
         if not live.size:
             break
         ap = as_vectors(apply(p, live))
+        if ap.shape != p.shape:
+            raise ValueError(f"map returned shape {ap.shape} for input shape {p.shape}")
         curvature = _dot(p, ap)
         bad = curvature <= 0.0
         if bad.any():

@@ -22,16 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adaptation import DivergenceError, Trajectory, gd_adapt, validation_gradient
+from .adaptation import DivergenceError, gd_adapt, validation_gradient
 from .csvtable import csv_text, row_values
-from .estimators import (
-    EstimatorConfig,
-    _cascade,
-    _check_L,
-    _effective_alpha,
-    estimate,
-    estimation_error,
-)
+from .estimators import EstimatorConfig, estimate, estimator_errors
 from .linalg import CGBreakdownError
 from .objectives import (
     LogisticTask,
@@ -173,29 +166,6 @@ def train_csv(rows: Sequence[TrainRecordRow]) -> str:
     return csv_text(TRAIN_CSV_HEADER, map(row_values, rows))
 
 
-def _estimator_errors(traj: Trajectory, g, l_values: Sequence[int], rescale_alpha: bool):
-    """[(e_fo, e_tr, e_bin) per L]: errors of the first-order, truncated and
-    expansion estimates against the exact product (per task of a stack), read
-    off one cascade per effective alpha. The base-alpha cascade runs to order
-    K, so its right edge holds the exact and every truncated product."""
-    K = traj.K
-    for L in l_values:
-        _check_L(L, K)
-    g = np.asarray(g, dtype=float)
-    groups = {traj.alpha: {K}}
-    for L in l_values:
-        groups.setdefault(_effective_alpha(traj, L, rescale_alpha), set()).add(L)
-    runs = {a: _cascade(traj.hvp_stage, 0, K, sorted(ls), a, g) for a, ls in groups.items()}
-    products = runs[traj.alpha][1]
-    exact = products[K]
-    e_fo = estimation_error(g, exact)
-    return [
-        (e_fo, estimation_error(products[L], exact),
-         estimation_error(runs[_effective_alpha(traj, L, rescale_alpha)][0][L], exact))
-        for L in l_values
-    ]
-
-
 @contextmanager
 def _failure_prefix(where: str):
     """Re-raise a numerical failure in the block as its own type, prefixed with ``where``."""
@@ -240,7 +210,7 @@ def meta_step(theta: np.ndarray, tasks: TaskBatch, cfg: MetaTrainConfig):
         if not np.isfinite(losses).all():
             raise DivergenceError("validation loss is NaN/Inf")
         mg = None if est.kind == "reptile" else estimate(traj, g, est)
-        errs = _estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] if cfg.track_errors else None
+        errs = estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] if cfg.track_errors else None
         return traj.final, losses, mg, errs
 
     finals, losses, mg, errs = _run_stacked(phases, tasks)
@@ -296,9 +266,10 @@ def run_error_experiment(cfg: MetaTrainConfig, batches: int):
 
     For every batch: adapt the tasks from the same theta as one stack, take
     the exact product as the reference, and record the batch-mean errors of
-    the first-order, truncated, and expansion estimates at each L = 0..K. Every
-    estimate comes off one stacked cascade per effective alpha (see
-    ``_estimator_errors``). Returns (per_batch_rows, averaged_rows).
+    the first-order, truncated, and expansion estimates at each L = 0..K, all
+    read by ``estimators.estimator_errors``: one stacked base-alpha cascade to
+    order K, plus binom's own pass for each order whose alpha is rescaled.
+    Returns (per_batch_rows, averaged_rows).
     """
     if batches < 1:
         raise ValueError("batches must be >= 1")
@@ -313,7 +284,7 @@ def run_error_experiment(cfg: MetaTrainConfig, batches: int):
     for b in range(batches):
         tasks = sample_task_batch(cfg, task_rng)
         errs = _run_stacked(
-            lambda ts: _estimator_errors(*_adapt(ts, theta, cfg), l_values, cfg.estimator.rescale_alpha),
+            lambda ts: estimator_errors(*_adapt(ts, theta, cfg), l_values, cfg.estimator.rescale_alpha),
             tasks, f"batch {b}, ")
         for L, per_task in enumerate(errs):
             mean = np.mean(np.stack(per_task, axis=1), axis=0)  # tasks x (e_fo, e_tr, e_bin)

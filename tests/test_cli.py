@@ -66,6 +66,11 @@ class TestBounds:
         assert code == 1
         assert "1/H" in capsys.readouterr().err
 
+    def test_non_numeric_theorem_names_the_valid_values(self, tmp_path, capsys):
+        assert main(["bounds", "--theorem", "abc", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == "metagrad: error: theorem must be all, 2, 3 or 4, got 'abc'\n"
+
     def test_invalid_m_combination(self, tmp_path):
         code = main(["bounds", "--theorem", "4", "--M", "3", "--K", "5", "--out", str(tmp_path / "x")])
         assert code == 1

@@ -127,6 +127,11 @@ class TestStackedConjugateGradient:
         with pytest.raises(ValueError, match="^vector contains NaN or Inf$"):
             conjugate_gradient(lambda p, rows: p * np.array([[1.0], [np.inf]]), np.ones((2, 3)))
 
+    def test_map_output_of_another_shape_raises(self):
+        # row 0's product alone would broadcast into row 1's update and solve row 1 wrongly
+        with pytest.raises(ValueError, match=r"^map returned shape \(2,\) for input shape \(2, 2\)$"):
+            conjugate_gradient(lambda p, rows: 2 * p[0], [[1.0, 2.0], [3.0, -1.0]])
+
     def test_rejects_a_nan_tolerance(self):
         with pytest.raises(ValueError, match="tol must be positive"):
             conjugate_gradient(lambda p, rows: p, [[1.0]], tol=float("nan"))

@@ -39,10 +39,9 @@ from metagrad import (
     sample_task_batch,
     validation_gradient,
 )
-from metagrad.estimators import _cascade
+from metagrad.estimators import _cascade, estimator_errors
 from metagrad.metatrain import (
     TRAIN_CSV_HEADER,
-    _estimator_errors,
     averaged_csv,
     initial_theta,
     per_batch_csv,
@@ -284,6 +283,14 @@ class TestErrorExperiment:
         for row in averaged[1:5]:
             assert row.err_bin < row.err_tr < row.err_fo
 
+    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
+    def test_expansion_error_decays_super_exponentially(self, family):
+        # each added order shrinks the error by a strictly smaller factor
+        _, averaged = run_error_experiment(MetaTrainConfig(family=family, K=16, seed=0), batches=10)
+        err = [row.err_bin for row in averaged]
+        ratios = [err[L + 1] / err[L] for L in range(1, 15)]
+        assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
+
     def test_csv_headers(self):
         cfg = MetaTrainConfig(family="quadratic", meta_batch=2, dim=2, seed=1)
         per_batch, averaged = run_error_experiment(cfg, batches=2)
@@ -317,7 +324,7 @@ class TestEstimatorErrors:
             traj, g = make(rng, K=K)
             for l_values in (list(range(K + 1)), [K // 2], [3, 1, 3, 0] if K >= 3 else [1, 0, 1]):
                 for rescale in (False, True):
-                    got = _estimator_errors(traj, g, l_values, rescale)
+                    got = estimator_errors(traj, g, l_values, rescale)
                     assert got == _errors_one_cascade_per_estimate(traj, g, l_values, rescale)
 
     def test_counted_hvps_without_rescale(self, stage_sizes):
@@ -326,24 +333,25 @@ class TestEstimatorErrors:
         for K in range(1, 7):
             traj, g = prescribed_trajectory(rng, d=2, K=K)
             stage_sizes.clear()
-            _estimator_errors(traj, g, list(range(K + 1)), False)
+            estimator_errors(traj, g, list(range(K + 1)), False)
             assert stage_sizes == list(range(K, 0, -1))
             for L in range(K + 1):
                 stage_sizes.clear()
-                _estimator_errors(traj, g, [L], False)
+                estimator_errors(traj, g, [L], False)
                 assert (sum(stage_sizes), len(stage_sizes)) == (L * (K - L + 1) + (K - L), K)
 
     def test_counted_hvps_with_rescale(self, stage_sizes):
         # L = 0, L = K and the exact product share the base alpha; every other L runs its
-        # own cascade, also at alpha = 0.2, K = 3 and 6, where K * alpha / K is not alpha
+        # own cascade, once however often it is listed, also at alpha = 0.2, K = 3 and 6,
+        # where K * alpha / K is not alpha
         rng = np.random.default_rng(45)
         for alpha in (0.25, 0.2):
             for K in range(1, 7):
                 traj, g = prescribed_trajectory(rng, d=2, K=K, alpha=alpha)
                 assert (alpha * K / K != alpha) == (alpha == 0.2 and K in (3, 6))
-                for l_values in (list(range(K + 1)), [K], [0, K // 2, 0]):
+                for l_values in (list(range(K + 1)), [K], [0, K // 2, 0], [K // 2, 0, K // 2]):
                     stage_sizes.clear()
-                    _estimator_errors(traj, g, l_values, True)
+                    estimator_errors(traj, g, l_values, True)
                     own = [L for L in set(l_values) if 0 < L < K]
                     assert sum(stage_sizes) == K + sum(L * (K - L + 1) for L in own)
                     assert len(stage_sizes) == K + sum(own)
@@ -360,7 +368,7 @@ class TestEstimatorErrors:
         for l_values in ([0, 1, 2, 3, 4], [1], [4]):
             for rescale in (False, True):
                 with pytest.raises(DivergenceError, match=r"cascade stage \d, step k=2$"):
-                    _estimator_errors(traj, np.ones(1), l_values, rescale)
+                    estimator_errors(traj, np.ones(1), l_values, rescale)
 
 
 def _reference_meta_step(theta, tasks, cfg):
@@ -378,7 +386,7 @@ def _reference_meta_step(theta, tasks, cfg):
         theta_next = theta - cfg.beta * step
     errs = [math.nan] * 3
     if cfg.track_errors:
-        per_task = [_estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] for traj, g in zip(trajs, grads)]
+        per_task = [estimator_errors(traj, g, [est.L], est.rescale_alpha)[0] for traj, g in zip(trajs, grads)]
         errs = [float(np.mean(column)) for column in zip(*per_task)]
     return theta_next, (float(np.mean(losses)), float(np.linalg.norm(step)), *errs,
                         sum(mg.cost.hvp_total for mg in mgs))
@@ -395,8 +403,8 @@ def _reference_error_experiment(cfg, batches):
         errs = []
         for pair in sample_task_batch(cfg, task_rng):
             traj = gd_adapt(pair.train, theta, cfg.alpha, cfg.K)
-            errs.append(_estimator_errors(traj, validation_gradient(pair.val, traj), l_values,
-                                          cfg.estimator.rescale_alpha))
+            errs.append(estimator_errors(traj, validation_gradient(pair.val, traj), l_values,
+                                         cfg.estimator.rescale_alpha))
         for L, per_task, total in zip(l_values, zip(*errs), sums):
             mean = np.mean(np.array(per_task), axis=0)
             total += mean

@@ -5,13 +5,14 @@ Usage: python tools/identity.py --base REV
 Exports REV with ``git archive`` into a temporary directory (``.git`` is left
 untouched), then runs one fixed matrix of cases on that tree and on this
 checkout's working tree. A case is one ``metagrad`` invocation, one run of a
-demo script from the tree's own ``demos/``, or a rerun pair: a second
-invocation into the ``out/`` the first one left, which checks that a rerun
-rewrites every file to a fresh run's bytes. Both runs of a case start in the
-same empty working directory; CLI invocations write to ``out/`` there.
-Compared per case: exit codes, stdout, stderr and every file written. Prints
-one summary line, then each differing case with what differs. Exits 0 when
-every case is identical, 1 otherwise.
+demo script from the tree's own ``demos/``, one ``python -c`` snippet that
+imports the tree's ``metagrad``, or a rerun pair: a second invocation into the
+``out/`` the first one left, which checks that a rerun rewrites every file to
+a fresh run's bytes. Both runs of a case start in the same empty working
+directory; CLI invocations write to ``out/`` there. Compared per case: exit
+codes, stdout, stderr and every file written. Prints one summary line, then
+each differing case with what differs. Exits 0 when every case is identical,
+1 otherwise.
 """
 
 import argparse
@@ -46,12 +47,36 @@ NON_FINITE = [
 CONSTRAINT = [
     ["bounds", "--K", "1"],
     ["cost", "--K", "-1"],
+    ["bounds", "--theorem", "abc"],
 ]
 
+# every estimate and cost on prescribed-curvature trajectories, printed to the last bit
+PRESCRIBED_SNIPPET = """\
+# prescribed-path estimates and costs, as repr
+import numpy as np
+from metagrad import (PrescribedHessianSequence, binom_meta_gradient, binom_oracle,
+                      binomtrunc_meta_gradient, from_hessian_sequence, full_meta_gradient,
+                      sharpness_sequence, trunc_meta_gradient)
+K, D, ALPHA, H = 5, 3, 0.3, 1.7
+a = np.random.default_rng(0).standard_normal((K, D, D))
+random = PrescribedHessianSequence(a + a.swapaxes(1, 2), np.random.default_rng(1).standard_normal(D))
+for L in range(K + 1):
+    for name in ("theorem2-neg", "theorem3-pos", "theorem3-trunc", "random"):
+        seq = random if name == "random" else sharpness_sequence(name, K, L, H, D)
+        traj, g = from_hessian_sequence(seq, ALPHA), seq.g
+        runs = [("trunc", trunc_meta_gradient(traj, g, L)), ("full", full_meta_gradient(traj, g))]
+        runs += [(f"binom rescale={r}", binom_meta_gradient(traj, g, L, r)) for r in (False, True)]
+        runs += [(f"binom-trunc C={C}", binomtrunc_meta_gradient(traj, g, L, C)) for C in range(L, K + 1)]
+        for what, mg in runs:
+            print(name, L, what, repr(mg.estimate.tolist()), repr(mg.cost))
+        for r in (False, True):
+            print(name, L, f"oracle rescale={r}", repr(binom_oracle(traj, g, L, r).tolist()))
+"""
 
-# demo scripts, each run from the tree under test: the only cases that print values
-# computed on prescribed-curvature trajectories (cost prints only counts)
-DEMOS = [["demos/sharp_instances.py"]]
+
+# demo scripts, each run from the tree under test, and the snippet: the only cases that
+# print values computed on prescribed-curvature trajectories (cost prints only counts)
+DEMOS = [["demos/sharp_instances.py"], ["-c", PRESCRIBED_SNIPPET]]
 
 # a second run into the out/ of a first, longer one: every file it writes is shorter
 RERUNS = [
@@ -83,13 +108,17 @@ def matrix():
 
 
 def command(src: Path, argv) -> list:
-    """The process to start for one invocation: a demo script of the tree at ``src``, or its CLI."""
+    """The process to start for one invocation: a snippet, a demo script of the tree at ``src``, or its CLI."""
+    if argv[0] == "-c":
+        return [sys.executable, *argv]
     if argv[0].endswith(".py"):
         return [sys.executable, str(src.parent / argv[0]), *argv[1:]]
     return [sys.executable, "-m", "metagrad.cli", *argv, "--out", "out"]
 
 
 def describe(argv) -> str:
+    if argv[0] == "-c":  # the snippet's first line names it
+        return "python -c " + argv[1].splitlines()[0]
     return ("python " if argv[0].endswith(".py") else "metagrad ") + " ".join(argv)
 
 
